@@ -12,7 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use windjoin_cluster::RunConfig;
 use windjoin_core::hash::mix64;
-use windjoin_core::probe::CountedEngine;
+use windjoin_core::probe::ExactEngine;
 use windjoin_core::{OutPair, PartitionGroup, Side, Tuple, WorkStats};
 use windjoin_gen::{merge_streams, Arrival, MergedStreams, StreamSpec};
 use windjoin_metrics::{DelayTracker, UsageSet};
@@ -54,7 +54,7 @@ pub trait Router {
 const BATCH_HEADER_BYTES: u64 = 5;
 
 struct BNode {
-    group: PartitionGroup<CountedEngine>,
+    group: PartitionGroup<ExactEngine>,
     cpu: CpuTimeline,
     pending: Vec<Routed>,
     watermark: u64,

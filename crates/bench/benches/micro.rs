@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use windjoin_core::probe::{CountedEngine, ExactEngine, ScalarEngine};
+use windjoin_core::probe::{ExactEngine, ScalarEngine};
 use windjoin_core::{
     MasterCore, OutPair, Params, PartitionGroup, ProbeEngine, Side, TuningParams, Tuple, WorkStats,
 };
@@ -116,26 +116,6 @@ fn bench_probe_batch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_counted_engine(c: &mut Criterion) {
-    let mut group = c.benchmark_group("counted_engine_insert");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("window_64k", |b| {
-        let mut g: PartitionGroup<CountedEngine> = loaded_group(65_536, true);
-        let mut out: Vec<OutPair> = Vec::new();
-        let mut work = WorkStats::default();
-        let mut i = 0u64;
-        b.iter(|| {
-            out.clear();
-            let t = Tuple::new(Side::Right, 65_536 + i, i % 1_000_000, i);
-            g.insert(black_box(t), &mut out, &mut work);
-            g.flush_all(&mut out, &mut work);
-            i += 1;
-            black_box(out.len())
-        });
-    });
-    group.finish();
-}
-
 fn bench_wire(c: &mut Criterion) {
     let tuples: Vec<Tuple> = (0..4096)
         .map(|i| Tuple::new(if i % 2 == 0 { Side::Left } else { Side::Right }, i, i * 31, i))
@@ -217,7 +197,6 @@ criterion_group!(
     bench_probe,
     bench_probe_kernels,
     bench_probe_batch,
-    bench_counted_engine,
     bench_wire,
     bench_generators,
     bench_master_drain

@@ -8,7 +8,7 @@
 //!
 //! * [`JobSpec`] — a serialisable description of the whole job: window
 //!   semantics, partitioning, payload width, residual predicate,
-//!   source, sink, engine and runtime. Round-trips through JSON
+//!   source, sink and runtime. Round-trips through JSON
 //!   ([`JobSpec::to_json`] / [`JobSpec::from_json`]), which is what
 //!   `windjoin-node --job job.json` and `windjoin-launch --job` consume.
 //! * [`JoinJob::builder`] — the ergonomic way to construct one, with
@@ -23,7 +23,7 @@
 //! spec's default configuration, and runs **bit-identically** to the
 //! pre-API direct paths (enforced by the `job_api` equivalence tests).
 //! Equality on the key always remains the partitioning predicate, so
-//! hash declustering, state movement and the probe engines are
+//! hash declustering, state movement and the probe engine are
 //! untouched by residual predicates and payloads.
 //!
 //! ```
@@ -46,7 +46,7 @@
 use crate::json::{obj, Json};
 use crate::nodes::NodeConfig;
 use crate::report::RunReport;
-use crate::runcfg::{EngineKind, RunConfig};
+use crate::runcfg::RunConfig;
 use crate::threadrt::DEFAULT_INBOX_CAPACITY;
 use std::fmt;
 use std::sync::Arc;
@@ -375,8 +375,6 @@ pub struct JobSpec {
     pub warmup_us: u64,
     /// Master seed; everything derives deterministically from it.
     pub seed: u64,
-    /// Probe engine.
-    pub engine: EngineKind,
     /// Enable §V-A adaptive degree of declustering.
     pub adaptive_dod: bool,
     /// Wire payload width per tuple, bytes (0 = the paper's zero-filled
@@ -410,7 +408,6 @@ impl JobSpec {
             run_us: node.run.as_micros() as u64,
             warmup_us: node.warmup.as_micros() as u64,
             seed: node.seed,
-            engine: EngineKind::Exact,
             adaptive_dod: false,
             payload_bytes: 0,
             residual: ResidualSpec::Always,
@@ -500,7 +497,6 @@ impl JobSpec {
             checkpoint_every: 0,
             chaos: Vec::new(),
             chaos_master: None,
-            engine: self.engine,
             payload_bytes: self.payload_bytes,
             residual: Residual::Spec(self.residual),
             source: Some(self.source.clone()),
@@ -528,7 +524,6 @@ impl JobSpec {
         cfg.warmup_us = self.warmup_us;
         cfg.adaptive_dod = self.adaptive_dod;
         cfg.seed = self.seed;
-        cfg.engine = self.engine;
         cfg.capture_outputs = self.sink == SinkSpec::Capture;
         cfg.residual = Residual::Spec(self.residual);
         Ok(cfg)
@@ -691,10 +686,6 @@ fn node_config_with_attachments(job: &JoinJob) -> Result<NodeConfig, ConfigError
 #[derive(Debug, Clone)]
 pub struct JoinJobBuilder {
     spec: JobSpec,
-    /// Whether [`engine`](Self::engine) was called: otherwise `build`
-    /// applies the runtime's historical default (`Counted` on the
-    /// simulator — tractable at paper scale — `Exact` elsewhere).
-    engine_set: bool,
     custom_residual: Option<Residual>,
     streaming: Option<StreamingSink>,
     cancel: Option<CancelToken>,
@@ -704,7 +695,6 @@ impl Default for JoinJobBuilder {
     fn default() -> Self {
         JoinJobBuilder {
             spec: JobSpec::demo(2),
-            engine_set: false,
             custom_residual: None,
             streaming: None,
             cancel: None,
@@ -832,15 +822,6 @@ impl JoinJobBuilder {
         self
     }
 
-    /// Selects the probe engine. Unset, the runtime's historical
-    /// default applies: `Counted` on `Runtime::Sim`, `Exact` on the
-    /// real-time runtimes.
-    pub fn engine(mut self, e: EngineKind) -> Self {
-        self.spec.engine = e;
-        self.engine_set = true;
-        self
-    }
-
     /// Enables §V-A adaptive degree of declustering.
     pub fn adaptive_dod(mut self, on: bool) -> Self {
         self.spec.adaptive_dod = on;
@@ -901,13 +882,7 @@ impl JoinJobBuilder {
     }
 
     /// Validates and produces the job.
-    pub fn build(mut self) -> Result<JoinJob, ConfigError> {
-        if !self.engine_set {
-            self.spec.engine = match self.spec.runtime {
-                Runtime::Sim => EngineKind::Counted,
-                Runtime::Threaded | Runtime::Tcp => EngineKind::Exact,
-            };
-        }
+    pub fn build(self) -> Result<JoinJob, ConfigError> {
         self.spec.validate()?;
         Ok(JoinJob {
             spec: self.spec,
@@ -1139,17 +1114,6 @@ impl JobSpec {
             ("run_us", Json::U64(self.run_us)),
             ("warmup_us", Json::U64(self.warmup_us)),
             ("seed", Json::U64(self.seed)),
-            (
-                "engine",
-                Json::Str(
-                    match self.engine {
-                        EngineKind::Scalar => "scalar",
-                        EngineKind::Exact => "exact",
-                        EngineKind::Counted => "counted",
-                    }
-                    .into(),
-                ),
-            ),
             ("adaptive_dod", Json::Bool(self.adaptive_dod)),
             ("payload_bytes", Json::U64(self.payload_bytes as u64)),
             ("residual", residual),
@@ -1195,7 +1159,6 @@ impl JobSpec {
                 "run_us",
                 "warmup_us",
                 "seed",
-                "engine",
                 "adaptive_dod",
                 "payload_bytes",
                 "residual",
@@ -1262,12 +1225,6 @@ impl JobSpec {
             "threaded" => Runtime::Threaded,
             "tcp" => Runtime::Tcp,
             other => return Err(JobFileError::Field(format!("unknown runtime {other:?}"))),
-        };
-        let engine = match get_str(&v, "engine")? {
-            "scalar" => EngineKind::Scalar,
-            "exact" => EngineKind::Exact,
-            "counted" => EngineKind::Counted,
-            other => return Err(JobFileError::Field(format!("unknown engine {other:?}"))),
         };
         let sink = match get_str(&v, "sink")? {
             "count" => SinkSpec::Count,
@@ -1373,7 +1330,6 @@ impl JobSpec {
             run_us: get_u64(&v, "run_us")?,
             warmup_us: get_u64(&v, "warmup_us")?,
             seed: get_u64(&v, "seed")?,
-            engine,
             adaptive_dod: get_bool(&v, "adaptive_dod")?,
             payload_bytes: get_u64(&v, "payload_bytes")? as usize,
             residual,
@@ -1404,7 +1360,6 @@ mod tests {
     fn exotic_spec_roundtrips_json() {
         let mut spec = JobSpec::demo(2);
         spec.runtime = Runtime::Tcp;
-        spec.engine = EngineKind::Scalar;
         spec.sink = SinkSpec::Capture;
         spec.payload_bytes = 12;
         spec.seed = u64::MAX; // must survive losslessly
@@ -1488,23 +1443,6 @@ mod tests {
                 other => panic!("{bad_rate}: expected a Field error, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn engine_defaults_follow_the_runtime() {
-        // Unset, each runtime keeps its historical default engine...
-        let sim = JoinJob::builder().runtime(Runtime::Sim).build().unwrap();
-        assert_eq!(sim.spec.engine, EngineKind::Counted);
-        for rt in [Runtime::Threaded, Runtime::Tcp] {
-            assert_eq!(
-                JoinJob::builder().runtime(rt).build().unwrap().spec.engine,
-                EngineKind::Exact
-            );
-        }
-        // ...and an explicit choice wins regardless of call order.
-        let job =
-            JoinJob::builder().engine(EngineKind::Scalar).runtime(Runtime::Sim).build().unwrap();
-        assert_eq!(job.spec.engine, EngineKind::Scalar);
     }
 
     #[test]

@@ -30,7 +30,6 @@
 //!              --npart N           hash partitions          [16]
 //!              --keys SPEC         uniform:D | bmodel:B:D | zipf:S:D
 //!                                  | constant:K             [bmodel:0.7:100000]
-//!              --engine E          scalar | exact | counted [exact]
 //!              --payload-bytes N   wire payload width       [0]
 //!              --probe-threads N   slave drain pool width; `auto`
 //!                                  or 0 = host core count  [1]
@@ -58,8 +57,7 @@
 use std::net::SocketAddr;
 use std::time::Duration;
 use windjoin_cluster::{
-    run_node, ChaosKill, EngineKind, JobSpec, MasterKill, NodeConfig, NodeOutcome, ProcessConfig,
-    TransportKind,
+    run_node, ChaosKill, JobSpec, MasterKill, NodeConfig, NodeOutcome, ProcessConfig, TransportKind,
 };
 use windjoin_gen::KeyDist;
 
@@ -103,7 +101,6 @@ fn parse_args() -> Args {
     let mut rank: Option<usize> = None;
     let mut peers: Vec<SocketAddr> = Vec::new();
     let mut job_path: Option<String> = None;
-    let mut engine: Option<EngineKind> = None;
     let mut payload_bytes: Option<usize> = None;
     let mut rate: Option<f64> = None;
     let mut run_ms: Option<u64> = None;
@@ -150,14 +147,6 @@ fn parse_args() -> Args {
                     .collect()
             }
             "--job" => job_path = Some(value(&mut i, &flag)),
-            "--engine" => {
-                engine = Some(match value(&mut i, &flag).as_str() {
-                    "scalar" => EngineKind::Scalar,
-                    "exact" => EngineKind::Exact,
-                    "counted" => EngineKind::Counted,
-                    other => usage_and_exit(&format!("bad --engine {other:?}")),
-                })
-            }
             "--payload-bytes" => {
                 payload_bytes = Some(
                     value(&mut i, &flag)
@@ -338,9 +327,6 @@ fn parse_args() -> Args {
         }
         None => NodeConfig::demo(slaves),
     };
-    if let Some(e) = engine {
-        node.engine = e;
-    }
     if let Some(w) = payload_bytes {
         node.payload_bytes = w;
     }

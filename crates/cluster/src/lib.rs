@@ -47,8 +47,6 @@ pub use api::{
 pub use nodes::{ChaosKill, MasterKill, NodeConfig, Role};
 pub use procrt::{run_node, NodeOutcome, ProcessConfig, TransportKind};
 pub use report::RunReport;
-pub use runcfg::{EngineKind, RunConfig};
+pub use runcfg::RunConfig;
 pub use simrt::run_sim;
-#[allow(deprecated)]
-pub use threadrt::ThreadedConfig;
 pub use threadrt::{run_on_transport, run_threaded};

@@ -56,13 +56,11 @@
 //! the window as `tuples_lost`.
 
 use crate::api::{Source, SourceSpec, StreamingSink};
-use crate::runcfg::EngineKind;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use windjoin_core::probe::{CountedEngine, ExactEngine, ProbeEngine, ScalarEngine};
 use windjoin_core::{
-    CheckpointStore, ControlLog, Decision, Election, GroupState, MasterCore, OutPair, Params,
-    PartitionCheckpoint, PayloadStore, Residual, RestorePlan, SlaveCore, Tuple, WorkStats,
+    CheckpointStore, ControlLog, Decision, Election, ExactEngine, GroupState, MasterCore, OutPair,
+    Params, PartitionCheckpoint, PayloadStore, Residual, RestorePlan, SlaveCore, Tuple, WorkStats,
 };
 use windjoin_gen::{KeyDist, RateSchedule};
 use windjoin_metrics::{DelayTracker, TimeSeries};
@@ -118,9 +116,6 @@ pub struct NodeConfig {
     /// Fault-injection hook for the failover chaos tests: the selected
     /// master dies abruptly while leading.
     pub chaos_master: Option<MasterKill>,
-    /// Probe engine the slaves run (outputs identical across all
-    /// kinds; `Exact` is the real-time default).
-    pub engine: EngineKind,
     /// Wire payload width per tuple, bytes. 0 keeps the paper's
     /// zero-filled 64-byte layout (the bit-identical legacy path); a
     /// positive width makes real payload bytes flow master → wire →
@@ -195,7 +190,6 @@ impl NodeConfig {
             checkpoint_every: 0,
             chaos: Vec::new(),
             chaos_master: None,
-            engine: EngineKind::Exact,
             payload_bytes: 0,
             residual: Residual::ALWAYS,
             source: None,
@@ -1227,26 +1221,13 @@ fn send_masters<E: TransportEndpoint>(ep: &E, master_down: &[bool], msg: &Messag
 
 /// Runs slave `index`'s loop on `ep` (rank `masters + index`) until the
 /// leader's `Shutdown` (or `Leave`) arrives, beaconing heartbeats and
-/// honouring the chaos fault-injection hooks. Dispatches to the probe
-/// engine the config selects.
+/// honouring the chaos fault-injection hooks.
 pub fn slave_node<E: TransportEndpoint>(ep: &E, index: usize, cfg: &NodeConfig) -> SlaveOutcome {
-    match cfg.engine {
-        EngineKind::Scalar => slave_node_with::<ScalarEngine, E>(ep, index, cfg),
-        EngineKind::Exact => slave_node_with::<ExactEngine, E>(ep, index, cfg),
-        EngineKind::Counted => slave_node_with::<CountedEngine, E>(ep, index, cfg),
-    }
-}
-
-fn slave_node_with<Eng: ProbeEngine + Clone, E: TransportEndpoint>(
-    ep: &E,
-    index: usize,
-    cfg: &NodeConfig,
-) -> SlaveOutcome {
     let masters = cfg.masters;
     let robust = cfg.robust();
     let collector_rank = cfg.collector_rank();
     let params: Arc<Params> = Arc::new(cfg.params.clone());
-    let mut core: SlaveCore<Eng> = SlaveCore::new(index, Arc::clone(&params));
+    let mut core: SlaveCore<ExactEngine> = SlaveCore::new(index, Arc::clone(&params));
     core.set_residual(cfg.residual.clone());
     // Replicated control planes redeliver (a promoted leader re-ingests
     // from zero) and checkpoint restores replay tails: both rely on the

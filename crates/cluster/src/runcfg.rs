@@ -5,22 +5,6 @@ use windjoin_core::{ConfigError, Params, Residual};
 use windjoin_gen::{KeyDist, RateSchedule};
 use windjoin_sim::{CostModel, LinkSpec};
 
-/// Which probe engine the slaves run (every runtime supports all
-/// three; outputs and charged work are identical across them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// The retained tuple-at-a-time reference BNLJ (`ScalarEngine`) —
-    /// the slowest path, kept so equivalence tests can anchor on it.
-    Scalar,
-    /// Physical BNLJ scans via the batched columnar kernel
-    /// (`ExactEngine`) — exact; the real-time runtimes' default.
-    Exact,
-    /// Indexed discovery with BNLJ-equivalent charging
-    /// (`CountedEngine`) — identical outputs and work, tractable at
-    /// paper scale. The simulator's default.
-    Counted,
-}
-
 /// A full experiment description. `RunConfig::paper_default(n)`
 /// reproduces the paper's §VI-A methodology: Table I parameters,
 /// Poisson arrivals, b-model keys, 20-minute runs with a 10-minute
@@ -56,8 +40,6 @@ pub struct RunConfig {
     pub dist_link: LinkSpec,
     /// Slave → collector result path link model.
     pub collector_link: LinkSpec,
-    /// Probe engine.
-    pub engine: EngineKind,
     /// Collect full output pairs (small runs / tests only).
     pub capture_outputs: bool,
     /// Residual predicate composed with the equi-join
@@ -91,7 +73,6 @@ impl RunConfig {
             cost: CostModel::paper_calibrated(),
             dist_link: LinkSpec::distribution_default(),
             collector_link: LinkSpec::collector_default(),
-            engine: EngineKind::Counted,
             capture_outputs: false,
             residual: Residual::ALWAYS,
             source: None,
@@ -154,7 +135,6 @@ mod tests {
         assert_eq!(c.run_us, 1_200_000_000);
         assert_eq!(c.warmup_us, 600_000_000);
         assert_eq!(c.initial_slaves, 4);
-        assert_eq!(c.engine, EngineKind::Counted);
     }
 
     #[test]

@@ -24,13 +24,12 @@
 
 use crate::api::{Source, SourceArrival};
 use crate::report::RunReport;
-use crate::runcfg::{EngineKind, RunConfig};
+use crate::runcfg::RunConfig;
 use std::cell::RefCell;
 use std::rc::Rc;
 use windjoin_core::hash::mix64;
-use windjoin_core::probe::{CountedEngine, ExactEngine, ScalarEngine};
 use windjoin_core::{
-    GroupState, MasterCore, MovePlan, OutPair, ProbeEngine, SlaveCore, Tuple, WorkStats,
+    ExactEngine, GroupState, MasterCore, MovePlan, OutPair, SlaveCore, Tuple, WorkStats,
 };
 use windjoin_metrics::{DelayTracker, TimeSeries, UsageSet};
 use windjoin_sim::{Actor, CpuTimeline, CpuWork, Ctx, Link, Sim};
@@ -39,16 +38,6 @@ use windjoin_sim::{Actor, CpuTimeline, CpuWork, Ctx, Link, Sim};
 const BATCH_HEADER_BYTES: u64 = 5;
 /// Wire size of a move directive.
 const DIRECTIVE_BYTES: u64 = 64;
-
-/// Runs one simulated experiment.
-pub fn run_sim(cfg: &RunConfig) -> RunReport {
-    cfg.validate().expect("invalid run configuration");
-    match cfg.engine {
-        EngineKind::Counted => run_engine::<CountedEngine>(cfg),
-        EngineKind::Exact => run_engine::<ExactEngine>(cfg),
-        EngineKind::Scalar => run_engine::<ScalarEngine>(cfg),
-    }
-}
 
 fn to_cpuwork(w: &WorkStats) -> CpuWork {
     CpuWork {
@@ -93,15 +82,15 @@ enum Ev {
     MoveDone { mv: MovePlan },
 }
 
-struct SlaveSim<E: ProbeEngine> {
-    core: SlaveCore<E>,
+struct SlaveSim {
+    core: SlaveCore<ExactEngine>,
     cpu: CpuTimeline,
 }
 
-struct ClusterSim<E: ProbeEngine> {
+struct ClusterSim {
     cfg: RunConfig,
     master: MasterCore,
-    slaves: Vec<SlaveSim<E>>,
+    slaves: Vec<SlaveSim>,
     src: Box<dyn Source + Send>,
     next_arrival: Option<SourceArrival>,
     nic: Link,
@@ -111,7 +100,7 @@ struct ClusterSim<E: ProbeEngine> {
     td_us: u64,
 }
 
-impl<E: ProbeEngine> ClusterSim<E> {
+impl ClusterSim {
     fn pull_arrivals(&mut self, now: u64) {
         let mut shared = self.shared.borrow_mut();
         while let Some(a) = self.next_arrival.take() {
@@ -155,7 +144,7 @@ impl<E: ProbeEngine> ClusterSim<E> {
     }
 }
 
-impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
+impl Actor<Ev> for ClusterSim {
     fn on_start(&mut self, ctx: &mut Ctx<Ev>) {
         let td = self.td_us;
         let ng = self.cfg.params.ng;
@@ -316,7 +305,9 @@ impl<E: ProbeEngine> Actor<Ev> for ClusterSim<E> {
     }
 }
 
-fn run_engine<E: ProbeEngine + 'static>(cfg: &RunConfig) -> RunReport {
+/// Runs one simulated experiment.
+pub fn run_sim(cfg: &RunConfig) -> RunReport {
+    cfg.validate().expect("invalid run configuration");
     // One shared `Params` for the master and every simulated slave.
     let params = std::sync::Arc::new(cfg.params.clone());
     let master = MasterCore::new(
@@ -325,7 +316,7 @@ fn run_engine<E: ProbeEngine + 'static>(cfg: &RunConfig) -> RunReport {
         cfg.initial_slaves,
         cfg.seed ^ 0x00AD_57E2_0000_0001,
     );
-    let mut slaves: Vec<SlaveSim<E>> = (0..cfg.total_slaves)
+    let mut slaves: Vec<SlaveSim> = (0..cfg.total_slaves)
         .map(|i| {
             let mut core = SlaveCore::new(i, std::sync::Arc::clone(&params));
             core.set_residual(cfg.residual.clone());

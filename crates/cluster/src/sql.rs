@@ -3,7 +3,7 @@
 //! One small dialect, hand-rolled in the same dependency-free style as
 //! [`crate::json`]: a query describes the paper's windowed stream
 //! equi-join (plus the post-paper extensions — residual predicates,
-//! payloads, engine/runtime selection) and lowers to a validated
+//! payloads, runtime selection) and lowers to a validated
 //! [`JobSpec`] through [`JoinJob::builder`]. The SQL path adds **no new
 //! semantics**: a query and the equivalent hand-built spec produce
 //! identical output sets, checksums and `RunReport`s.
@@ -40,7 +40,6 @@
 //! | `runtime`       | `sim` \| `threaded` \| `tcp`   | [`Runtime`]                      |
 //! | `slaves`        | integer                        | active slave count               |
 //! | `total_slaves`  | integer                        | provisioned pool (sim only)      |
-//! | `engine`        | `scalar` \| `exact` \| `counted` | probe engine                   |
 //! | `payload_bytes` | integer                        | wire payload width               |
 //! | `rate`          | number (tuples/s)              | synthetic source rate            |
 //! | `keys`          | keydist                        | join-attribute distribution      |
@@ -71,7 +70,6 @@
 //! ```
 
 use crate::api::{JobSpec, JoinJob, JoinJobBuilder, Runtime, SinkSpec};
-use crate::runcfg::EngineKind;
 use std::fmt;
 use windjoin_core::{ConfigError, ResidualSpec};
 use windjoin_gen::KeyDist;
@@ -300,7 +298,7 @@ pub enum OptValue {
     DurationUs(u64),
     /// `true` / `false`.
     Bool(bool),
-    /// A bare word (`engine = exact`).
+    /// A bare word (`runtime = tcp`).
     Word(String),
     /// A key-distribution call (`keys = bmodel(0.7, 100000)`).
     Keys(KeyDist),
@@ -776,12 +774,6 @@ fn apply_option(b: JoinJobBuilder, opt: &SqlOption) -> Result<JoinJobBuilder, Sq
         }),
         "slaves" => b.slaves(as_usize(v, opt)?),
         "total_slaves" => b.total_slaves(as_usize(v, opt)?),
-        "engine" => b.engine(match as_word(v, opt, "scalar, exact, counted")? {
-            "scalar" => EngineKind::Scalar,
-            "exact" => EngineKind::Exact,
-            "counted" => EngineKind::Counted,
-            other => return Err(semantic(format!("unknown engine {other:?}"))),
-        }),
         "payload_bytes" => b.payload_bytes(as_usize(v, opt)?),
         "rate" => b.rate(match v {
             OptValue::Int(n) => *n as f64,
@@ -857,7 +849,7 @@ mod tests {
     fn sql_and_handbuilt_builder_specs_are_identical() {
         let spec = spec_from_sql(
             "SELECT * FROM a JOIN b ON a.key = b.key AND ABS(a.ts - b.ts) <= 250ms \
-             WITHIN 2s WITH (runtime = tcp, slaves = 3, engine = scalar, rate = 812.5, \
+             WITHIN 2s WITH (runtime = tcp, slaves = 3, rate = 812.5, \
              keys = zipf(1.1, 4000), seed = 99, run = 3s, warmup = 1s, npart = 8, \
              payload_bytes = 16, probe_threads = 2, sink = capture, heartbeat = 250ms, \
              max_missed = 9, dist_epoch = 100ms, reorg_epoch = 1s, adaptive_dod = false)",
@@ -866,7 +858,6 @@ mod tests {
         let hand = JoinJob::builder()
             .runtime(Runtime::Tcp)
             .slaves(3)
-            .engine(EngineKind::Scalar)
             .rate(812.5)
             .keys(KeyDist::Zipf { s: 1.1, domain: 4000 })
             .seed(99)
@@ -944,6 +935,10 @@ mod tests {
             ("SELECT * FROM a JOIN b ON a.ts = b.ts WITHIN 5s", "equi-join on \"key\""),
             ("SELECT * FROM a JOIN b ON a.key = b.key WITHIN 5s WITH (zzz = 1)", "unknown option"),
             (
+                "SELECT * FROM a JOIN b ON a.key = b.key WITHIN 5s WITH (engine = exact)",
+                "unknown option",
+            ),
+            (
                 "SELECT * FROM a JOIN b ON a.key = b.key WITHIN 5s WITH (slaves = 1, slaves = 2)",
                 "duplicate option",
             ),
@@ -976,17 +971,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(e, SqlError::Invalid(ConfigError::Inconsistent { .. })), "{e}");
-    }
-
-    #[test]
-    fn engine_defaults_follow_the_runtime_through_sql() {
-        let sim = spec_from_sql(&format!("{DEMO} WITH (runtime = sim)")).unwrap();
-        assert_eq!(sim.engine, EngineKind::Counted);
-        let tcp = spec_from_sql(&format!("{DEMO} WITH (runtime = tcp)")).unwrap();
-        assert_eq!(tcp.engine, EngineKind::Exact);
-        let forced =
-            spec_from_sql(&format!("{DEMO} WITH (runtime = sim, engine = exact)")).unwrap();
-        assert_eq!(forced.engine, EngineKind::Exact);
     }
 
     #[test]

@@ -25,17 +25,6 @@ use windjoin_core::WorkStats;
 use windjoin_metrics::{TimeSeries, UsageSet};
 use windjoin_net::{ChannelNetwork, Transport};
 
-/// Deprecated alias of the backend-independent [`NodeConfig`]; the
-/// historical name survives one release because the threaded runtime
-/// was the first real-time driver. New code should build jobs through
-/// `windjoin_cluster::api::JoinJob::builder()` (or use [`NodeConfig`]
-/// directly for low-level control).
-#[deprecated(
-    since = "0.2.0",
-    note = "use api::JoinJob::builder() (or NodeConfig directly); this alias will be removed"
-)]
-pub type ThreadedConfig = NodeConfig;
-
 /// Per-inbox frame capacity for the channel backend (also the default
 /// the multi-process runtime uses).
 pub const DEFAULT_INBOX_CAPACITY: usize = 4096;

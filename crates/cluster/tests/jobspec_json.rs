@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use windjoin_cluster::api::{JobFileError, ReplayTuple};
-use windjoin_cluster::{EngineKind, JobSpec, Runtime, SinkSpec};
+use windjoin_cluster::{JobSpec, Runtime, SinkSpec};
 use windjoin_core::{ResidualSpec, Side};
 use windjoin_gen::KeyDist;
 
@@ -47,7 +47,6 @@ proptest! {
         let mut spec = JobSpec::demo(slaves);
         spec.runtime = if flags & 1 == 0 { Runtime::Threaded } else { Runtime::Tcp };
         spec.seed = seed;
-        spec.engine = EngineKind::Scalar;
         spec.sink = SinkSpec::Capture;
         // Payload residuals require wire payloads; gate them together.
         let payload = (flags >> 1) % 3;

@@ -9,7 +9,7 @@ const SEEDS: [&str; 4] = [
     "SELECT * FROM s1 JOIN s2 ON s1.key = s2.key WITHIN 5s",
     "SELECT * FROM quotes AS q JOIN trades AS t ON q.key = t.key \
      AND ABS(q.ts - t.ts) <= 200ms WITHIN 2s \
-     WITH (slaves = 3, engine = exact, payload_bytes = 16, rate = 450.5)",
+     WITH (slaves = 3, probe_threads = 2, payload_bytes = 16, rate = 450.5)",
     "SELECT * FROM a JOIN b ON a.key = b.key AND a.payload = b.payload \
      WITHIN 1m WITH (runtime = threaded, payload_bytes = 8, keys = zipf(1.2, 50000), \
      seed = 18446744073709551615)",

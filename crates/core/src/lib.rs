@@ -30,10 +30,10 @@
 //! ## Quick start (single-node join, no cluster)
 //!
 //! ```
-//! use windjoin_core::{Params, SlaveCore, Tuple, Side, probe::CountedEngine, WorkStats};
+//! use windjoin_core::{Params, SlaveCore, Tuple, Side, probe::ExactEngine, WorkStats};
 //!
 //! let params = Params::default_paper();
-//! let mut slave: SlaveCore<CountedEngine> = SlaveCore::new(0, params.clone());
+//! let mut slave: SlaveCore<ExactEngine> = SlaveCore::new(0, params.clone());
 //! // Give this slave every partition.
 //! for pid in 0..params.npart {
 //!     slave.create_group(pid);
@@ -87,7 +87,7 @@ pub use master::{MasterCore, MasterEvent, MovePlan, RecoveryPlan, ReorgPlan};
 pub use minigroup::MiniGroup;
 pub use payload::{PayloadEntry, PayloadStore};
 pub use pool::{DrainPool, StealQueue};
-pub use probe::{CountedEngine, ExactEngine, ProbeEngine, ScalarEngine};
+pub use probe::{ExactEngine, ProbeEngine, ScalarEngine};
 pub use reference::reference_join;
 pub use reorg::{classify, decide_dod, decide_membership, pair_moves, DodDecision, NodeClass};
 pub use residual::{MatchCtx, MatchSide, Residual, ResidualPredicate, ResidualSpec};

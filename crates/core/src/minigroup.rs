@@ -267,7 +267,7 @@ fn merge_ordered(a: Vec<Tuple>, b: Vec<Tuple>) -> Vec<Tuple> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::{CountedEngine, ExactEngine};
+    use crate::probe::{ExactEngine, ScalarEngine};
 
     fn cfg() -> MiniGroupCfg {
         MiniGroupCfg {
@@ -300,7 +300,7 @@ mod tests {
     fn simple_match_both_engines() {
         let tuples = [tl(100, 7, 0), tr(200, 7, 0)];
         let a = run::<ExactEngine>(&tuples);
-        let b = run::<CountedEngine>(&tuples);
+        let b = run::<ScalarEngine>(&tuples);
         assert_eq!(a.len(), 1);
         assert_eq!(a, b);
         assert_eq!(a[0].left, (100, 0));
@@ -323,7 +323,7 @@ mod tests {
         assert_eq!(ids.len(), n, "duplicate output pairs detected");
         // All 10x10 pairs are within the window (max gap 95 <= 1000).
         assert_eq!(n, 100);
-        assert_eq!(out, run::<CountedEngine>(&tuples));
+        assert_eq!(out, run::<ScalarEngine>(&tuples));
     }
 
     #[test]
@@ -350,7 +350,7 @@ mod tests {
         ];
         let out = run::<ExactEngine>(&tuples);
         assert_eq!(out.len(), 4, "all four pairs must survive expiry");
-        assert_eq!(out, run::<CountedEngine>(&tuples));
+        assert_eq!(out, run::<ScalarEngine>(&tuples));
     }
 
     #[test]
@@ -391,9 +391,9 @@ mod tests {
         let mut work = WorkStats::default();
         let a_tuples: Vec<Tuple> = (0..10).map(|i| tl(2 * i, i, 2 * i)).collect();
         let b_tuples: Vec<Tuple> = (0..10).map(|i| tl(2 * i + 1, i, 2 * i + 1)).collect();
-        let mut a: MiniGroup<CountedEngine> =
+        let mut a: MiniGroup<ExactEngine> =
             MiniGroup::from_parts(cfg(), a_tuples, Vec::new(), &mut work);
-        let b: MiniGroup<CountedEngine> =
+        let b: MiniGroup<ExactEngine> =
             MiniGroup::from_parts(cfg(), b_tuples, Vec::new(), &mut work);
         a.absorb(b, &mut work);
         assert_eq!(a.tuple_count(), 20);
@@ -404,15 +404,16 @@ mod tests {
         }
     }
 
+    /// Expiry keeps `ExactEngine`'s index in step with the windows.
     #[test]
     fn counted_engine_expiry_keeps_index_consistent() {
         // Insert enough that old blocks expire, then verify late probes
-        // still agree with the exact engine.
+        // still agree with the scalar reference.
         let mut tuples = Vec::new();
         for i in 0..200u64 {
             tuples.push(tl(i * 20, i % 5, i));
             tuples.push(tr(i * 20 + 7, i % 5, i));
         }
-        assert_eq!(run::<ExactEngine>(&tuples), run::<CountedEngine>(&tuples));
+        assert_eq!(run::<ExactEngine>(&tuples), run::<ScalarEngine>(&tuples));
     }
 }

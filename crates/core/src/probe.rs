@@ -1,42 +1,36 @@
 //! Probe engines: how fresh tuples find their matches in the opposite
 //! window.
 //!
-//! Three interchangeable engines implement [`ProbeEngine`]:
+//! Two engines implement [`ProbeEngine`]:
 //!
 //! * [`ExactEngine`] — the paper's Block Nested-Loop Join (§IV-D,
-//!   §VI-A) as a **batched columnar kernel**: scans the opposite
-//!   window's contiguous key columns (see [`crate::block`]), skips
-//!   blocks whose min/max key range cannot intersect the probing
-//!   batch, and only touches row-form tuples on a key hit. Outputs,
-//!   emission order and charged work are bit-identical to the scalar
-//!   scan. Used by the threaded/process runtimes and the microbenches.
+//!   §VI-A). Every runtime and the baselines driver run it. Small
+//!   windows are swept through their contiguous key columns (see
+//!   [`crate::block`]), skipping blocks whose min/max key range cannot
+//!   intersect the probing batch; windows past a size threshold answer
+//!   every probe, single tuple or batch, from a per-side extendible-hash
+//!   key index. Outputs, emission order and charged work are
+//!   bit-identical to the scalar scan whichever path runs.
 //! * [`ScalarEngine`] — the retained scalar reference kernel: the
 //!   tuple-at-a-time BNLJ via [`scan_run`], exactly as the paper
 //!   describes it. Slow on purpose; it anchors the equivalence
-//!   property tests that keep the columnar kernel honest.
-//! * [`CountedEngine`] — maintains a per-key index of sealed tuples and
-//!   discovers matches through it, while charging **exactly the work the
-//!   BNLJ would have done** (`fresh × sealed` comparisons, one touch per
-//!   opposite block). Outputs and work tallies are bit-identical to
-//!   `ExactEngine` — enforced by the equivalence property tests — which
-//!   makes cluster-scale simulated experiments tractable (DESIGN.md §3).
+//!   property tests that keep the production kernel honest.
 //!
-//! All engines rely on the window's freshness protocol for duplicate
+//! Both engines rely on the window's freshness protocol for duplicate
 //! elimination: probes only see **sealed** opposite tuples; the skipped
 //! fresh tuples probe later and find this side's (by then sealed) tuples.
 //!
-//! ## Why the prefilter cannot change charged work
+//! ## Why the fast paths cannot change charged work
 //!
 //! The BNLJ cost the paper measures is `fresh × sealed` comparisons plus
 //! one touch per opposite block; both are charged **before** any
-//! physical scanning decision. The min/max prefilter only elides the
-//! *discovery* scan of blocks that provably contain no equal key — the
-//! output set and the `WorkStats` tallies are unchanged by construction.
+//! physical discovery decision. The min/max prefilter and the key index
+//! only change how matches are *found* — the output sequence and the
+//! `WorkStats` tallies are unchanged by construction.
 
 use crate::block::RunView;
 use crate::hash::index_hash;
 use crate::{Block, JoinSemantics, OutPair, Side, Tuple, WindowPartition, WorkStats};
-use std::collections::{HashMap, VecDeque};
 use windjoin_exthash::{Directory, SplitError};
 
 /// Match-finding strategy for a mini-partition-group.
@@ -117,7 +111,7 @@ impl ProbeEngine for ScalarEngine {
 }
 
 /// One sealed tuple's index record: its key plus the `(t, seq)` pair an
-/// [`OutPair`] needs. 24 bytes — three cache lines hold a full bucket.
+/// [`OutPair`] needs. 24 bytes per sealed tuple.
 #[derive(Debug, Clone, Copy)]
 struct IndexEntry {
     key: u64,
@@ -131,13 +125,36 @@ struct IndexEntry {
 #[derive(Debug, Clone, Default)]
 struct IndexBucket {
     entries: Vec<IndexEntry>,
+    /// `entries[head..]` are live. Only a saturated bucket keeps an
+    /// expired prefix (see [`IndexBucket::pop_oldest`]); elsewhere
+    /// `head` is 0.
+    head: usize,
     /// Hit [`SplitError::MaxDepth`] while overflowing (a hot key whose
     /// identical hashes can never be divided) — stop trying to split.
     saturated: bool,
 }
 
-/// A bucket splits once it holds more entries than this; sweeping a
-/// bucket this size is still only three cache lines.
+impl IndexBucket {
+    fn live(&self) -> &[IndexEntry] {
+        &self.entries[self.head..]
+    }
+
+    /// Drops the oldest live entry. A saturated bucket can grow without
+    /// bound, so it drops its dead prefix only once that prefix is as
+    /// long as the live part (O(1) amortised); other buckets hold at
+    /// most `INDEX_SPLIT_MAX` entries and compact at once.
+    fn pop_oldest(&mut self) -> IndexEntry {
+        let entry = self.entries[self.head];
+        self.head += 1;
+        if !self.saturated || self.head * 2 >= self.entries.len() {
+            self.entries.drain(..self.head);
+            self.head = 0;
+        }
+        entry
+    }
+}
+
+/// A bucket splits once it holds more entries than this.
 const INDEX_SPLIT_MAX: usize = 64;
 /// Buddies merge back when their combined size falls to half the split
 /// threshold (hysteresis, mirroring the θ rule in [`crate::group`]).
@@ -154,8 +171,8 @@ const INDEX_MIN_SEALED: usize = 64;
 /// (`key → time-ordered (t, seq)` via [`index_hash`]).
 ///
 /// `built` starts false and the maintenance hooks stay no-ops, so
-/// windows that only ever see batch probes pay nothing. The first
-/// single-tuple probe of a large window builds the index from the
+/// windows that never reach `INDEX_MIN_SEALED` sealed tuples pay
+/// nothing. The first probe of a large window builds the index from the
 /// sealed runs in one pass; from then on [`ExactEngine::on_seal`] /
 /// [`ExactEngine::on_expire_block`] keep it exact.
 #[derive(Debug, Clone)]
@@ -189,7 +206,7 @@ impl KeyIndex {
                 let (keep, sibling) =
                     bucket.entries.drain(..).partition(|e| !bit.goes_to_sibling(index_hash(e.key)));
                 bucket.entries = keep;
-                IndexBucket { entries: sibling, saturated: false }
+                IndexBucket { entries: sibling, ..IndexBucket::default() }
             });
             if let Err(SplitError::MaxDepth) = split {
                 self.dir.get_mut(h).saturated = true;
@@ -198,14 +215,16 @@ impl KeyIndex {
     }
 
     /// Removes one expired tuple. Expiry is strictly oldest-first per
-    /// side, so the first entry with this key *is* the expiring one.
+    /// side, so the expiring tuple is the oldest entry of its bucket.
     fn remove(&mut self, key: u64, t: u64, seq: u64) {
         let h = index_hash(key);
         let bucket = self.dir.get_mut(h);
-        let pos =
-            bucket.entries.iter().position(|e| e.key == key).expect("expired tuple was indexed");
-        let entry = bucket.entries.remove(pos);
-        debug_assert_eq!((entry.t, entry.seq), (t, seq), "oldest-first expiry invariant");
+        let entry = bucket.pop_oldest();
+        debug_assert_eq!(
+            (entry.key, entry.t, entry.seq),
+            (key, t, seq),
+            "oldest-first expiry invariant"
+        );
         self.len -= 1;
         if bucket.entries.len() <= INDEX_MERGE_MAX {
             // Fold small buddies back together (and shrink the
@@ -250,48 +269,101 @@ impl KeyIndex {
         });
     }
 
-    /// Emits every window-valid match of a single probe, in the same
-    /// global `(t, seq)` order the run-by-run sweep produces. Charges
-    /// nothing: the caller has already charged the full BNLJ cost.
-    fn probe_one(
+    /// Visits the live entries of `key` with `lower <= t <= upper` in
+    /// ascending `(t, seq)`, stopping at the first entry past `upper`.
+    fn walk(&self, key: u64, lower: u64, upper: u64, mut f: impl FnMut(&IndexEntry)) {
+        for e in self.dir.get(index_hash(key)).live() {
+            if e.t > upper {
+                break;
+            }
+            if e.key == key && e.t >= lower {
+                f(e);
+            }
+        }
+    }
+
+    /// Emits every window-valid match of a probing batch in the sweep's
+    /// stored-major order: ascending stored `(t, seq)`, then position in
+    /// the batch.
+    ///
+    /// Probes sharing a key share one walk over the union of their
+    /// `[t − W(opposite), t + W(probe side)]` ranges (exactly the stored
+    /// times [`JoinSemantics::joins`] accepts). A lone probe's walk is
+    /// already in sweep order; a batch's `(t, seq, key group)` matches
+    /// are sorted to interleave the keys the way the sweep does.
+    fn probe_batch(
         &self,
-        probe: &Tuple,
+        fresh: &[Tuple],
         sem: &JoinSemantics,
         out: &mut Vec<OutPair>,
         work: &mut WorkStats,
     ) {
-        for e in &self.dir.get(index_hash(probe.key)).entries {
-            if e.key == probe.key && sem.joins(probe.t, probe.side, e.t) {
+        let side = fresh[0].side;
+        let range = |t_min: u64, t_max: u64| {
+            (
+                t_min.saturating_sub(sem.window_us(side.opposite())),
+                t_max.saturating_add(sem.window_us(side)),
+            )
+        };
+        if let [probe] = fresh {
+            let (lower, upper) = range(probe.t, probe.t);
+            self.walk(probe.key, lower, upper, |e| {
                 out.push(OutPair::from_probe(probe, e.t, e.seq));
                 work.emitted += 1;
+            });
+            return;
+        }
+        let mut by_key: Vec<usize> = (0..fresh.len()).collect();
+        by_key.sort_by_key(|&i| fresh[i].key);
+        let groups: Vec<&[usize]> =
+            by_key.chunk_by(|&a, &b| fresh[a].key == fresh[b].key).collect();
+        let mut matches = Vec::new();
+        for (g, group) in groups.iter().enumerate() {
+            let (t_min, t_max) = group
+                .iter()
+                .fold((u64::MAX, 0), |(lo, hi), &i| (lo.min(fresh[i].t), hi.max(fresh[i].t)));
+            let (lower, upper) = range(t_min, t_max);
+            self.walk(fresh[group[0]].key, lower, upper, |e| matches.push((e.t, e.seq, g)));
+        }
+        if groups.len() > 1 {
+            matches.sort_unstable();
+        }
+        for &(t, seq, g) in &matches {
+            for &i in groups[g] {
+                let probe = &fresh[i];
+                if sem.joins(probe.t, side, t) {
+                    out.push(OutPair::from_probe(probe, t, seq));
+                    work.emitted += 1;
+                }
             }
         }
     }
 }
 
-/// The paper's Block Nested-Loop Join as a batched columnar kernel with
-/// an indexed single-probe fast path.
+/// The paper's Block Nested-Loop Join, answered from a key index once
+/// the opposite window is large.
 ///
-/// Per probe call the fresh batch's keys are gathered once into a
-/// reused scratch column; every sealed run is then scanned through its
-/// contiguous key column — 8 bytes per stored tuple instead of a whole
-/// 32-byte row — and runs whose `[min_key, max_key]` range is disjoint
-/// from the batch's key range are skipped outright (their comparisons
-/// are still charged; see the module docs). Row tuples are only touched
-/// to materialise an [`OutPair`] on a key hit, and emission order is
-/// exactly the scalar kernel's stored-major order.
+/// Every probe call charges the full BNLJ cost first — `fresh × sealed`
+/// comparisons and one touch per opposite block — and then picks how to
+/// *find* the matches:
 ///
-/// Single-tuple probes of large windows (≥ `INDEX_MIN_SEALED` sealed)
-/// go through a lazily-built per-side `KeyIndex` instead of sweeping:
-/// the probe touches one extendible-hash bucket (≤ a few cache lines)
-/// rather than the whole key column. Because sealed runs are visited
-/// oldest-first and each run is stored-major, a single probe's sweep
-/// emission order is exactly ascending stored `(t, seq)` — the order
-/// index buckets are kept in — so the indexed path emits a
-/// byte-identical `(OutPair, WorkStats)` sequence, and the choice of
-/// path is purely a matter of speed. Batch probes always sweep: their
-/// stored-major emission interleaves batch members, which no per-key
-/// index can reproduce without re-sorting.
+/// * Opposite windows with at least `INDEX_MIN_SEALED` sealed tuples
+///   are probed through a lazily-built per-side `KeyIndex`: each probe
+///   touches one extendible-hash bucket rather than the whole key
+///   column. A batch walks one bucket per distinct key and sorts the
+///   matched entries by stored `(t, seq)`, which is exactly the sweep's
+///   stored-major emission order (sealed runs are visited oldest-first,
+///   each stored-major, and index buckets are kept in ascending
+///   `(t, seq)`).
+/// * Smaller windows are swept: the fresh batch's keys are gathered
+///   once into a reused scratch column; every sealed run is scanned
+///   through its contiguous key column, and runs whose
+///   `[min_key, max_key]` range is disjoint from the batch's key range
+///   are skipped outright. Row tuples are only touched to materialise
+///   an [`OutPair`] on a key hit.
+///
+/// Both paths emit a byte-identical `(OutPair, WorkStats)` sequence to
+/// [`ScalarEngine`]; the choice is purely a matter of speed.
 #[derive(Debug, Clone, Default)]
 pub struct ExactEngine {
     /// Reused key column of the probing batch.
@@ -328,21 +400,17 @@ impl ProbeEngine for ExactEngine {
         if fresh.is_empty() {
             return;
         }
+        let sealed = opposite.sealed_count();
         work.blocks_touched += opposite.block_count() as u64;
-        if let [probe] = fresh {
-            let idx = &mut self.index[probe.side.opposite().index()];
-            let sealed = opposite.sealed_count();
-            if idx.built || sealed >= INDEX_MIN_SEALED {
-                if !idx.built {
-                    idx.build_from(opposite);
-                }
-                debug_assert_eq!(idx.len, sealed, "index tracks the sealed set");
-                // Identical charge to the run-by-run sweep: one
-                // comparison per sealed tuple (fresh.len() == 1).
-                work.comparisons += sealed as u64;
-                idx.probe_one(probe, sem, out, work);
-                return;
+        work.comparisons += (fresh.len() * sealed) as u64;
+        if sealed >= INDEX_MIN_SEALED {
+            let idx = &mut self.index[opposite.side().index()];
+            if !idx.built {
+                idx.build_from(opposite);
             }
+            debug_assert_eq!(idx.len, sealed, "index tracks the sealed set");
+            idx.probe_batch(fresh, sem, out, work);
+            return;
         }
         self.fresh_keys.clear();
         let (mut fresh_min, mut fresh_max) = (u64::MAX, 0u64);
@@ -353,8 +421,6 @@ impl ProbeEngine for ExactEngine {
         }
         let fresh_keys = &self.fresh_keys;
         opposite.for_each_sealed_run_view(|run| {
-            // Full BNLJ charge, independent of the physical scan below.
-            work.comparisons += (fresh.len() * run.len()) as u64;
             if run.min_key > fresh_max || run.max_key < fresh_min {
                 return; // no key of this block can equal any fresh key
             }
@@ -433,85 +499,6 @@ fn scan_run_one_key(
     }
 }
 
-/// Index-accelerated engine charging BNLJ-equivalent work.
-///
-/// Per side, sealed tuples are indexed as `key → time-ordered (t, seq)`
-/// entries. A probe binary-searches the window-valid range of its key's
-/// entry list, so discovery is `O(log n + matches)` while the *charged*
-/// cost remains the full scan the paper's system would perform.
-#[derive(Debug, Clone, Default)]
-pub struct CountedEngine {
-    index: [HashMap<u64, VecDeque<(u64, u64)>>; 2],
-}
-
-impl ProbeEngine for CountedEngine {
-    fn on_seal(&mut self, tuple: &Tuple) {
-        let entries = self.index[tuple.side.index()].entry(tuple.key).or_default();
-        debug_assert!(
-            entries.back().is_none_or(|&(t, s)| (t, s) <= (tuple.t, tuple.seq)),
-            "seals must arrive in time order per side"
-        );
-        entries.push_back((tuple.t, tuple.seq));
-    }
-
-    fn on_expire_block(&mut self, side: Side, block: &Block) {
-        let map = &mut self.index[side.index()];
-        for tup in block.tuples() {
-            let entries = map.get_mut(&tup.key).expect("expired tuple was sealed");
-            let front = entries.pop_front().expect("expired tuple was indexed");
-            debug_assert_eq!(front, (tup.t, tup.seq), "oldest-first expiry invariant");
-            if entries.is_empty() {
-                map.remove(&tup.key);
-            }
-        }
-    }
-
-    fn probe(
-        &mut self,
-        fresh: &[Tuple],
-        opposite: &WindowPartition,
-        sem: &JoinSemantics,
-        out: &mut Vec<OutPair>,
-        work: &mut WorkStats,
-    ) {
-        if fresh.is_empty() {
-            return;
-        }
-        // Identical charge to the BNLJ scan.
-        work.blocks_touched += opposite.block_count() as u64;
-        work.comparisons += (fresh.len() * opposite.sealed_count()) as u64;
-
-        let opp = fresh[0].side.opposite();
-        let map = &self.index[opp.index()];
-        for probe in fresh {
-            let Some(entries) = map.get(&probe.key) else { continue };
-            // Stored-older bound: stored.t >= probe.t - W(opposite).
-            let lower = probe.t.saturating_sub(sem.window_us(opp));
-            // Stored-newer bound: stored.t <= probe.t + W(probe side).
-            let upper = probe.t.saturating_add(sem.window_us(probe.side));
-            let (a, b) = entries.as_slices();
-            let start_a = a.partition_point(|&(t, _)| t < lower);
-            for &(t, seq) in &a[start_a..] {
-                if t > upper {
-                    break;
-                }
-                out.push(OutPair::from_probe(probe, t, seq));
-                work.emitted += 1;
-            }
-            if a.last().is_none_or(|&(t, _)| t <= upper) {
-                let start_b = b.partition_point(|&(t, _)| t < lower);
-                for &(t, seq) in &b[start_b..] {
-                    if t > upper {
-                        break;
-                    }
-                    out.push(OutPair::from_probe(probe, t, seq));
-                    work.emitted += 1;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -523,6 +510,22 @@ mod tests {
     }
     fn tr(t: u64, key: u64, seq: u64) -> Tuple {
         Tuple::new(Side::Right, t, key, seq)
+    }
+
+    /// Sealed-window sizes that put [`ExactEngine`] on its sweep path
+    /// (`0` fillers) and on its indexed path.
+    const FILLERS: [usize; 2] = [0, INDEX_MIN_SEALED];
+
+    /// `n` right-side fillers at `t = first_t..` whose keys no probe
+    /// uses.
+    fn fillers(n: usize, first_t: u64) -> impl Iterator<Item = Tuple> {
+        (0..n as u64)
+            .map(move |i| tr(first_t + i, 1_000_000 + first_t + i, 1_000_000 + first_t + i))
+    }
+
+    /// `tuples` (all at `t >= 100`) behind `n` fillers at `t < 100`.
+    fn padded(n: usize, tuples: &[Tuple]) -> Vec<Tuple> {
+        fillers(n, 0).chain(tuples.iter().copied()).collect()
     }
 
     /// Builds a sealed right-side window from tuples and mirrors them
@@ -548,92 +551,129 @@ mod tests {
         (out, work)
     }
 
-    #[test]
-    fn exact_engine_finds_window_valid_matches() {
+    /// Probes `window` with `fresh` on `engine` and asserts the result
+    /// equals the scalar reference's, emission order included.
+    fn probe_checked(
+        engine: &mut ExactEngine,
+        fresh: &[Tuple],
+        window: &WindowPartition,
+    ) -> (Vec<OutPair>, WorkStats) {
+        let got = run_probe(engine, fresh, window);
+        assert_eq!(got, run_probe(&mut ScalarEngine, fresh, window), "differs from the sweep");
+        got
+    }
+
+    fn probe_sealed(stored: &[Tuple], fresh: &[Tuple]) -> (Vec<OutPair>, WorkStats) {
         let mut e = ExactEngine::default();
-        let stored = [tr(100, 7, 0), tr(500, 7, 1), tr(500, 9, 2), tr(2000, 7, 3)];
-        let w = sealed_right(&mut e, &stored);
-        let fresh = [tl(1200, 7, 0)];
-        let (out, work) = run_probe(&mut e, &fresh, &w);
-        // t=100 is out of window (1200-100 > 1000); t=2000 is newer but
-        // within the probe's own window; key 9 doesn't match.
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().any(|p| p.right == (500, 1)));
-        assert!(out.iter().any(|p| p.right == (2000, 3)));
-        assert_eq!(work.comparisons, 4);
-        assert_eq!(work.emitted, 2);
-        assert_eq!(work.blocks_touched, 1);
+        let w = sealed_right(&mut e, stored);
+        probe_checked(&mut e, fresh, &w)
     }
 
     #[test]
+    fn exact_engine_finds_window_valid_matches() {
+        for n in FILLERS {
+            let stored = padded(n, &[tr(100, 7, 0), tr(500, 7, 1), tr(500, 9, 2), tr(2000, 7, 3)]);
+            let (out, work) = probe_sealed(&stored, &[tl(1200, 7, 0)]);
+            // t=100 is out of window (1200-100 > 1000); t=2000 is newer but
+            // within the probe's own window; key 9 doesn't match.
+            assert_eq!(out.len(), 2, "fillers={n}");
+            assert!(out.iter().any(|p| p.right == (500, 1)));
+            assert!(out.iter().any(|p| p.right == (2000, 3)));
+            assert_eq!(work.comparisons, stored.len() as u64);
+            assert_eq!(work.emitted, 2);
+            assert_eq!(work.blocks_touched, stored.len().div_ceil(4) as u64);
+        }
+    }
+
+    /// A batch probe emits the scalar sweep's stored-major sequence on
+    /// both the swept and the indexed path.
+    /// A batch probe emits the scalar sweep's stored-major sequence on
+    /// both the swept and the indexed path.
+    #[test]
     fn counted_engine_matches_exact_engine() {
-        let stored = [
-            tr(100, 7, 0),
-            tr(500, 7, 1),
-            tr(500, 9, 2),
-            tr(900, 7, 3),
-            tr(1500, 7, 4),
-            tr(2500, 7, 5),
-        ];
-        let fresh = [tl(1200, 7, 0), tl(1300, 9, 1), tl(1400, 42, 2)];
-
-        let mut ex = ExactEngine::default();
-        let w_ex = sealed_right(&mut ex, &stored);
-        let (mut out_ex, work_ex) = run_probe(&mut ex, &fresh, &w_ex);
-
-        let mut ct = CountedEngine::default();
-        let w_ct = sealed_right(&mut ct, &stored);
-        let (mut out_ct, work_ct) = run_probe(&mut ct, &fresh, &w_ct);
-
-        out_ex.sort_by_key(|p| p.id());
-        out_ct.sort_by_key(|p| p.id());
-        assert_eq!(out_ex, out_ct, "outputs must be identical");
-        assert_eq!(work_ex, work_ct, "charged work must be identical");
+        for n in FILLERS {
+            let stored = padded(
+                n,
+                &[
+                    tr(100, 7, 0),
+                    tr(500, 7, 1),
+                    tr(500, 9, 2),
+                    tr(900, 7, 3),
+                    tr(1500, 7, 4),
+                    tr(2500, 7, 5),
+                ],
+            );
+            let fresh = [tl(1200, 7, 0), tl(1300, 9, 1), tl(1400, 42, 2), tl(1500, 7, 3)];
+            let (out, work) = probe_sealed(&stored, &fresh);
+            // Stored-major: (500,1) for both key-7 probes, then (500,2)
+            // for the key-9 probe, and so on.
+            let order: Vec<_> = out.iter().map(|p| (p.right, p.left.1)).collect();
+            assert_eq!(
+                order,
+                [
+                    ((500, 1), 0),
+                    ((500, 1), 3),
+                    ((500, 2), 1),
+                    ((900, 3), 0),
+                    ((900, 3), 3),
+                    ((1500, 4), 0),
+                    ((1500, 4), 3),
+                    ((2500, 5), 3),
+                ],
+                "fillers={n}"
+            );
+            assert_eq!(work.comparisons, (fresh.len() * stored.len()) as u64);
+        }
     }
 
     #[test]
     fn probes_skip_fresh_opposite_tuples() {
-        // The opposite window has one sealed and one fresh tuple; only
-        // the sealed one may match (§IV-D duplicate elimination).
-        for counted in [false, true] {
-            let mut ex = ExactEngine::default();
-            let mut ct = CountedEngine::default();
-            let mut w = WindowPartition::new(Side::Right, 4);
-            let sealed = tr(100, 7, 0);
-            w.append(sealed);
-            w.seal();
-            ex.on_seal(&sealed);
-            ct.on_seal(&sealed);
+        // The opposite window has sealed tuples and one fresh tuple; only
+        // the sealed ones may match (§IV-D duplicate elimination).
+        for n in FILLERS {
+            let mut e = ExactEngine::default();
+            let stored = padded(n, &[tr(100, 7, 0)]);
+            let mut w = sealed_right(&mut e, &stored);
             w.append(tr(200, 7, 1)); // fresh: not sealed, not indexed
-            let fresh = [tl(300, 7, 0)];
-            let (out, work) = if counted {
-                run_probe(&mut ct, &fresh, &w)
-            } else {
-                run_probe(&mut ex, &fresh, &w)
-            };
-            assert_eq!(out.len(), 1, "counted={counted}");
-            assert_eq!(out[0].right, (100, 0));
-            assert_eq!(work.comparisons, 1, "only the sealed tuple is scanned");
+            let (out, work) = probe_checked(&mut e, &[tl(300, 7, 0), tl(310, 7, 1)], &w);
+            assert_eq!(out.len(), 2, "fillers={n}");
+            assert!(out.iter().all(|p| p.right == (100, 0)));
+            assert_eq!(work.comparisons, 2 * stored.len() as u64, "only sealed tuples count");
         }
     }
 
+    /// Block expiry after a batch probe built the index removes the
+    /// expired tuples from it.
+    /// Block expiry after a batch probe built the index removes the
+    /// expired tuples from it.
     #[test]
     fn counted_engine_expiry_prunes_index() {
-        let mut ct = CountedEngine::default();
+        let mut e = ExactEngine::default();
+        let stored: Vec<Tuple> = fillers(INDEX_MIN_SEALED, 0)
+            .chain([tr(100, 7, 0), tr(110, 7, 1)])
+            .chain(fillers(INDEX_MIN_SEALED, 2_000))
+            .chain([tr(3000, 7, 2)])
+            .collect();
         let mut w = WindowPartition::new(Side::Right, 2);
-        for (i, t) in [tr(10, 7, 0), tr(20, 7, 1), tr(3000, 7, 2)].iter().enumerate() {
-            w.append(*t);
+        for &t in &stored {
+            w.append(t);
             w.seal();
-            ct.on_seal(t);
-            let _ = i;
+            e.on_seal(&t);
         }
-        // Expire the first block (t=10,20).
-        let b = w.pop_expired_front(5000, 1000, 0).expect("expired");
-        ct.on_expire_block(Side::Right, &b);
-        let fresh = [tl(3100, 7, 0)];
-        let (out, _) = run_probe(&mut ct, &fresh, &w);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].right, (3000, 2));
+        // A batch probe builds the index.
+        let (out, _) = probe_checked(&mut e, &[tl(120, 7, 0), tl(130, 7, 1)], &w);
+        assert_eq!(out.len(), 4);
+        assert!(e.index[Side::Right.index()].built, "batch probe built the index");
+        // Expire every block older than t=500: the first fillers and both
+        // early key-7 tuples leave the window and the index.
+        while let Some(b) = w.pop_expired_front(1_500, 1_000, 0) {
+            e.on_expire_block(Side::Right, &b);
+        }
+        assert_eq!(w.sealed_count(), INDEX_MIN_SEALED + 1);
+        assert_eq!(e.index[Side::Right.index()].len, INDEX_MIN_SEALED + 1);
+        let (out, _) = probe_checked(&mut e, &[tl(3100, 7, 0), tl(3200, 7, 1)], &w);
+        assert_eq!(out.len(), 2);
+        assert!(out.iter().all(|p| p.right == (3000, 2)));
     }
 
     #[test]
@@ -659,19 +699,10 @@ mod tests {
 
     #[test]
     fn duplicate_keys_all_match() {
-        for counted in [false, true] {
-            let stored = [tr(100, 7, 0), tr(101, 7, 1), tr(102, 7, 2)];
-            let fresh = [tl(500, 7, 0)];
-            let (out, _) = if counted {
-                let mut e = CountedEngine::default();
-                let w = sealed_right(&mut e, &stored);
-                run_probe(&mut e, &fresh, &w)
-            } else {
-                let mut e = ExactEngine::default();
-                let w = sealed_right(&mut e, &stored);
-                run_probe(&mut e, &fresh, &w)
-            };
-            assert_eq!(out.len(), 3, "counted={counted}");
+        for n in FILLERS {
+            let stored = padded(n, &[tr(100, 7, 0), tr(101, 7, 1), tr(102, 7, 2)]);
+            let (out, _) = probe_sealed(&stored, &[tl(500, 7, 0)]);
+            assert_eq!(out.len(), 3, "fillers={n}");
         }
     }
 }

@@ -526,7 +526,7 @@ impl<E: ProbeEngine> SlaveCore<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::CountedEngine;
+    use crate::probe::ExactEngine;
     use crate::Side;
 
     fn small_params() -> Params {
@@ -539,7 +539,7 @@ mod tests {
         p
     }
 
-    fn slave_with_all_partitions() -> SlaveCore<CountedEngine> {
+    fn slave_with_all_partitions() -> SlaveCore<ExactEngine> {
         let p = small_params();
         let mut s = SlaveCore::new(0, p.clone());
         for pid in 0..p.npart {
@@ -571,7 +571,7 @@ mod tests {
     #[should_panic(expected = "unowned partition")]
     fn unowned_partition_is_a_protocol_error() {
         let p = small_params();
-        let mut s: SlaveCore<CountedEngine> = SlaveCore::new(0, p);
+        let mut s: SlaveCore<ExactEngine> = SlaveCore::new(0, p);
         s.receive_batch(vec![Tuple::new(Side::Left, 1, 5, 0)]);
         let mut out = Vec::new();
         let mut work = WorkStats::default();
@@ -612,7 +612,7 @@ mod tests {
         assert!(pending.is_empty());
         assert!(!a.owned_partitions().contains(&pid));
 
-        let mut b: SlaveCore<CountedEngine> = SlaveCore::new(1, p.clone());
+        let mut b: SlaveCore<ExactEngine> = SlaveCore::new(1, p.clone());
         b.install_group(pid, state, pending, &mut work);
         assert_eq!(b.window_tuples(), 50);
         b.receive_batch(vec![Tuple::new(Side::Right, 500, key, 0)]);
@@ -632,7 +632,7 @@ mod tests {
         let (state, pending) = a.extract_group(pid, &mut work);
         assert_eq!(pending.len(), 1);
 
-        let mut b: SlaveCore<CountedEngine> = SlaveCore::new(1, p);
+        let mut b: SlaveCore<ExactEngine> = SlaveCore::new(1, p);
         b.install_group(pid, state, pending, &mut work);
         b.receive_batch(vec![Tuple::new(Side::Right, 200, key, 0)]);
         let mut out = Vec::new();
@@ -664,7 +664,7 @@ mod tests {
         assert_eq!(a.backlog_tuples(), 0, "stale buffered tuples dropped");
 
         // Fresh adoption of an unowned partition is a plain install.
-        let mut b: SlaveCore<CountedEngine> = SlaveCore::new(1, p);
+        let mut b: SlaveCore<ExactEngine> = SlaveCore::new(1, p);
         assert!(!b.adopt_group(pid, GroupState { buckets: Vec::new() }, Vec::new(), &mut work));
         assert!(b.owned_partitions().contains(&pid));
         // And the adopted group joins normally from empty.
@@ -742,7 +742,7 @@ mod tests {
     fn parallel_drain_detects_unowned_partitions() {
         let mut p = small_params();
         p.probe_threads = 4;
-        let mut s: SlaveCore<CountedEngine> = SlaveCore::new(0, p.clone());
+        let mut s: SlaveCore<ExactEngine> = SlaveCore::new(0, p.clone());
         // Own only partition 0; buffer tuples for several partitions so
         // the parallel path engages and must flag the protocol error.
         s.create_group(0);
@@ -778,7 +778,7 @@ mod tests {
         let key = 5u64;
         let pid = partition_of(key, p.npart);
         let run = |move_first: bool| {
-            let mut a: SlaveCore<CountedEngine> = SlaveCore::new(0, p.clone());
+            let mut a: SlaveCore<ExactEngine> = SlaveCore::new(0, p.clone());
             for g in 0..p.npart {
                 a.create_group(g);
             }
@@ -798,7 +798,7 @@ mod tests {
                 let (state, pending) = a.extract_group(pid, &mut work);
                 let entries = a.extract_payloads(pid);
                 assert_eq!(entries.len(), 2);
-                let mut b: SlaveCore<CountedEngine> = SlaveCore::new(1, p.clone());
+                let mut b: SlaveCore<ExactEngine> = SlaveCore::new(1, p.clone());
                 b.set_residual(ResidualSpec::PayloadEquals.into());
                 b.install_group(pid, state, pending, &mut work);
                 b.install_payloads(pid, entries);
@@ -909,7 +909,7 @@ mod tests {
     #[test]
     fn seen_guards_max_merge_and_travel() {
         let p = small_params();
-        let mut s: SlaveCore<CountedEngine> = SlaveCore::new(0, p);
+        let mut s: SlaveCore<ExactEngine> = SlaveCore::new(0, p);
         s.enable_dedupe();
         assert_eq!(s.seen_of(3), (0, 0));
         s.set_seen(3, 10, 4);
@@ -949,7 +949,7 @@ mod tests {
 
         // The buddy installs the snapshot and inherits the guards.
         let (sl, sr) = a.seen_of(pid);
-        let mut b: SlaveCore<CountedEngine> = SlaveCore::new(1, p);
+        let mut b: SlaveCore<ExactEngine> = SlaveCore::new(1, p);
         b.enable_dedupe();
         b.adopt_group(pid, state, pending, &mut work);
         b.set_seen(pid, sl, sr);

@@ -5,11 +5,11 @@
 //!    drain at every pool width, under *skewed* partition-group sizes
 //!    (one giant group plus many tiny ones — the shape that makes
 //!    steal-half actually fire).
-//! 2. **Index-path identity** — single-tuple probes of large windows go
-//!    through `ExactEngine`'s lazily-built extendible-hash key index;
-//!    the emission sequence and charged work must match the scalar
-//!    sweep byte for byte across asymmetric windows, expiry churn and
-//!    hot-key bucket saturation.
+//! 2. **Index-path identity** — probes of large windows, single tuples
+//!    and batches alike, go through `ExactEngine`'s lazily-built
+//!    extendible-hash key index; the emission sequence and charged work
+//!    must match the scalar sweep byte for byte across batch sizes,
+//!    asymmetric windows, expiry churn and hot-key bucket saturation.
 
 use proptest::prelude::*;
 use windjoin_core::{
@@ -125,23 +125,25 @@ proptest! {
     }
 
     #[test]
-    fn indexed_single_probe_is_byte_identical_to_scan(
+    fn indexed_probe_is_byte_identical_to_scan(
         tuples in workload(600, 6),
         w_left in prop_oneof![Just(200u64), Just(5_000), Just(1_000_000)],
         w_right in prop_oneof![Just(200u64), Just(5_000), Just(1_000_000)],
+        chunk in prop_oneof![Just(1usize), Just(7), Just(64)],
         tuned in any::<bool>(),
     ) {
-        // chunk = 1 makes every probe a single-tuple probe: once a
-        // window's sealed side crosses the build threshold, ExactEngine
-        // answers from its extendible-hash key index while the scalar
-        // reference sweeps every run. Asymmetric windows drive expiry
+        // Once a window's sealed side crosses the build threshold,
+        // ExactEngine answers from its extendible-hash key index while
+        // the scalar reference sweeps every run. chunk = 1 makes every
+        // probe a single tuple; larger chunks make batches whose hits
+        // interleave across the batch. Asymmetric windows drive expiry
         // (index removals + buddy merges) on one side long before the
         // other. Identity must hold byte for byte either way.
         let tuning = tuned.then_some(TuningParams { theta_blocks: 2, max_depth: 6 });
         let mut p = params(256, w_left, tuning);
         p.sem.w_right_us = w_right;
-        let (out_ex, work_ex) = run_width::<ExactEngine>(&p, 1, &tuples, 1);
-        let (out_sc, work_sc) = run_width::<ScalarEngine>(&p, 1, &tuples, 1);
+        let (out_ex, work_ex) = run_width::<ExactEngine>(&p, 1, &tuples, chunk);
+        let (out_sc, work_sc) = run_width::<ScalarEngine>(&p, 1, &tuples, chunk);
         prop_assert_eq!(out_ex, out_sc, "emission sequences differ");
         prop_assert_eq!(work_ex, work_sc, "charged work differs");
     }
@@ -149,7 +151,10 @@ proptest! {
 
 /// A single white-hot key overflows its index bucket with entries whose
 /// hashes can never be divided: the bucket must saturate at the depth
-/// cap and stay exact, not split forever or lose entries.
+/// cap and stay exact, not split forever or lose entries — for single
+/// probes and for batches that all hit the saturated bucket, with
+/// windows that never expire and with asymmetric ones that expire the
+/// saturated buckets at different rates.
 #[test]
 fn hot_key_saturates_index_but_stays_exact() {
     let tuples: Vec<Tuple> = (0..400u64)
@@ -158,12 +163,17 @@ fn hot_key_saturates_index_but_stays_exact() {
             Tuple::new(side, i * 7, 42, i)
         })
         .collect();
-    let p = params(256, 1_000_000, None);
-    let (out_ex, work_ex) = run_width::<ExactEngine>(&p, 1, &tuples, 1);
-    let (out_sc, work_sc) = run_width::<ScalarEngine>(&p, 1, &tuples, 1);
-    assert_eq!(out_ex, out_sc);
-    assert_eq!(work_ex, work_sc);
-    assert!(work_ex.emitted > 0, "hot-key workload must actually join");
+    for (w_left, w_right) in [(1_000_000, 1_000_000), (1_000, 2_000)] {
+        let mut p = params(256, w_left, None);
+        p.sem.w_right_us = w_right;
+        for chunk in [1, 7, 64] {
+            let (out_ex, work_ex) = run_width::<ExactEngine>(&p, 1, &tuples, chunk);
+            let (out_sc, work_sc) = run_width::<ScalarEngine>(&p, 1, &tuples, chunk);
+            assert_eq!(out_ex, out_sc, "windows {w_left}/{w_right}, chunk {chunk}");
+            assert_eq!(work_ex, work_sc, "windows {w_left}/{w_right}, chunk {chunk}");
+            assert!(work_ex.emitted > 0, "hot-key workload must actually join");
+        }
+    }
 }
 
 /// The giant-plus-tiny shape, pinned (not property-sampled), at every

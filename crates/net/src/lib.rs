@@ -40,8 +40,8 @@ pub use evented::{EventedEndpoint, EventedNetwork, FrameWriteQueue};
 pub use message::Message;
 pub use tcp::{FrameDecoder, TcpEndpoint, TcpNetwork};
 pub use transport::{
-    ChannelEndpoint, ChannelNetwork, Disconnected, Endpoint, Frame, NetEvent, Network, Transport,
-    TransportEndpoint, WireStats,
+    ChannelEndpoint, ChannelNetwork, Disconnected, Frame, NetEvent, Transport, TransportEndpoint,
+    WireStats,
 };
 pub use wire::{
     decode_batch, decode_batch_into, encode_batch, encode_batch_into, Tagging, TUPLE_WIRE_BYTES,

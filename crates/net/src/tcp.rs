@@ -29,6 +29,7 @@
 //! the `windjoin-node` binary); [`TcpNetwork::loopback`] builds an
 //! in-process mesh over `127.0.0.1` for tests and demos.
 
+use crate::poll::{Poller, EPOLLIN};
 use crate::transport::{
     Disconnected, Frame, NetEvent, Transport, TransportEndpoint, WireCounters, WireStats,
 };
@@ -36,6 +37,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -156,8 +158,6 @@ fn assert_frame_size(len: usize) {
     assert!(len <= MAX_FRAME_BYTES, "frame of {len} bytes exceeds the {MAX_FRAME_BYTES} byte cap");
 }
 
-/// Time left until `deadline`, floored at 1 ms (`set_read_timeout`
-/// rejects a zero duration).
 /// Backoff before dial retry `attempt` from `rank` to `peer`: capped
 /// exponential (5 ms · 2^attempt, capped at 320 ms) plus deterministic
 /// jitter of up to half the step, mixed from the rank pair and attempt
@@ -174,6 +174,8 @@ fn dial_backoff(rank: usize, peer: usize, attempt: u32) -> Duration {
     Duration::from_millis(step_ms + jitter_ms)
 }
 
+/// Time left until `deadline`, floored at 1 ms (`set_read_timeout`
+/// rejects a zero duration).
 fn remaining(deadline: Instant) -> Duration {
     deadline.saturating_duration_since(Instant::now()).max(Duration::from_millis(1))
 }
@@ -301,6 +303,12 @@ pub(crate) fn establish_mesh(
     let expected_inbound = n - 1 - rank;
     let acceptor = std::thread::spawn(move || -> std::io::Result<Vec<Option<TcpStream>>> {
         listener.set_nonblocking(true)?;
+        // Sleep until a dialer is actually waiting, not on a fixed
+        // tick: a polled accept would add up to a tick to every mesh
+        // bring-up.
+        let poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), 0, EPOLLIN)?;
+        let mut ready = Vec::new();
         let mut inbound: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
         let mut filled = 0;
         while filled < expected_inbound {
@@ -316,7 +324,7 @@ pub(crate) fn establish_mesh(
                             ),
                         ));
                     }
-                    std::thread::sleep(Duration::from_millis(10));
+                    poller.wait(&mut ready, Some(remaining(deadline)))?;
                     continue;
                 }
                 Err(e) => return Err(e),

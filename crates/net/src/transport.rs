@@ -252,10 +252,6 @@ pub struct ChannelNetwork {
     endpoints: Vec<Option<ChannelEndpoint>>,
 }
 
-/// Backwards-compatible name for [`ChannelNetwork`] from before the
-/// transport layer grew a second (TCP) backend.
-pub type Network = ChannelNetwork;
-
 /// One rank's handle on a [`ChannelNetwork`].
 #[derive(Debug, Clone)]
 pub struct ChannelEndpoint {
@@ -269,9 +265,6 @@ pub struct ChannelEndpoint {
     /// dropping its endpoint) is observable exactly like a socket reset.
     _death: Arc<DeathWatch>,
 }
-
-/// Backwards-compatible name for [`ChannelEndpoint`].
-pub type Endpoint = ChannelEndpoint;
 
 /// Drop guard that announces this rank's death to every peer inbox.
 #[derive(Debug)]
