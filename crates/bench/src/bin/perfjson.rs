@@ -12,12 +12,13 @@
 //! identical workload as `probe_one_tuple/flat/65536`, so every
 //! snapshot carries its own before/after ratio (`speedup_vs_scalar`).
 //!
-//! `--net` instead runs the transport saturation family
-//! (`net_saturate/{tuples,wire_bytes}/ranks={4,8,16}`) and writes
-//! `BENCH_net.json`: an all-to-all evented loopback mesh at each rank
-//! count, measuring delivered tuples/s and wire bytes/s **per node** —
-//! the inter-node transfer ceiling the paper's distributed join sits
-//! under.
+//! `--net` instead runs the transport saturation family and writes
+//! `BENCH_net.json`: an all-to-all loopback mesh at each rank count,
+//! measuring delivered tuples/s and wire bytes/s **per node** — the
+//! inter-node transfer ceiling the paper's distributed join sits under.
+//! Both socket backends run, alternating pass by pass:
+//! `net_saturate/{tuples,wire_bytes}/ranks={4,8,16}` is the evented
+//! backend and `net_saturate/threaded/...` the thread-per-peer one.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -26,11 +27,14 @@ use windjoin_core::{
     OutPair, Params, PartitionGroup, ProbeEngine, Side, SlaveCore, TuningParams, Tuple, WorkStats,
 };
 use windjoin_gen::KeyDist;
-use windjoin_net::{decode_batch_into, encode_batch_into, EventedNetwork, NetEvent, Tagging};
+use windjoin_net::{
+    decode_batch_into, encode_batch_into, EventedNetwork, NetEvent, Tagging, TcpNetwork, Transport,
+    TransportEndpoint,
+};
 
 /// One measured scenario.
 struct Scenario {
-    name: &'static str,
+    name: String,
     /// Elements of work per iteration (for the elements/sec rate).
     elems_per_iter: u64,
     ns_per_iter: f64,
@@ -97,7 +101,7 @@ fn probe_one_tuple<E: ProbeEngine>(
         i += 1;
         std::hint::black_box(out.len());
     });
-    Scenario { name, elems_per_iter: 1, ns_per_iter: ns }
+    Scenario { name: name.into(), elems_per_iter: 1, ns_per_iter: ns }
 }
 
 fn probe_batch(name: &'static str, window: u64, samples: usize) -> Scenario {
@@ -115,7 +119,7 @@ fn probe_batch(name: &'static str, window: u64, samples: usize) -> Scenario {
         g.flush_all(&mut out, &mut work);
         std::hint::black_box(out.len());
     });
-    Scenario { name, elems_per_iter: BATCH, ns_per_iter: ns }
+    Scenario { name: name.into(), elems_per_iter: BATCH, ns_per_iter: ns }
 }
 
 fn wire_roundtrip(samples: usize) -> (Scenario, Scenario) {
@@ -136,8 +140,16 @@ fn wire_roundtrip(samples: usize) -> (Scenario, Scenario) {
         std::hint::black_box(decoded.len());
     });
     (
-        Scenario { name: "wire_encode_into/4096", elems_per_iter: 4096, ns_per_iter: enc_ns },
-        Scenario { name: "wire_decode_into/4096", elems_per_iter: 4096, ns_per_iter: dec_ns },
+        Scenario {
+            name: "wire_encode_into/4096".into(),
+            elems_per_iter: 4096,
+            ns_per_iter: enc_ns,
+        },
+        Scenario {
+            name: "wire_decode_into/4096".into(),
+            elems_per_iter: 4096,
+            ns_per_iter: dec_ns,
+        },
     )
 }
 
@@ -190,23 +202,21 @@ fn slave_drain(name: &'static str, probe_threads: usize, samples: usize) -> Scen
         s.process_pending(&mut out, &mut work);
         std::hint::black_box(out.len());
     });
-    Scenario { name, elems_per_iter: BATCH as u64, ns_per_iter: ns }
+    Scenario { name: name.into(), elems_per_iter: BATCH as u64, ns_per_iter: ns }
 }
 
-/// All-to-all saturation over an evented loopback mesh: every rank
+/// All-to-all saturation over a loopback mesh: every rank
 /// blasts encoded tuple batches round-robin at every other rank while
 /// a per-rank receiver drains, for a fixed wall-clock window. Returns
 /// the (tuples/s, wire bytes/s) pair, both **per node** — the delivered
 /// tuple rate a single rank sustains and the socket-level volume it
 /// pushes (headers included) while every peer is equally loaded.
-fn net_saturate(
-    name_tuples: &'static str,
-    name_bytes: &'static str,
-    ranks: usize,
-    millis: u64,
-) -> (Scenario, Scenario) {
+fn net_saturate<T: Transport>(mut net: T, name: &str, millis: u64) -> (Scenario, Scenario)
+where
+    T::Endpoint: Sync,
+{
     const BATCH: u64 = 512;
-    let mut net = EventedNetwork::loopback(ranks, 1024).expect("loopback mesh");
+    let ranks = net.len();
     let eps: Vec<_> = (0..ranks).map(|r| net.take(r)).collect();
     let batch: Vec<Tuple> = (0..BATCH)
         .map(|i| Tuple::new(if i % 2 == 0 { Side::Left } else { Side::Right }, i, i * 131, i))
@@ -272,10 +282,12 @@ fn net_saturate(
     let elapsed_ns = t0.elapsed().as_nanos() as f64;
     let tuples_per_node = frames_in.load(Ordering::Relaxed) * BATCH / ranks as u64;
     let wire_per_node = eps.iter().map(|e| e.wire_stats().bytes_sent).sum::<u64>() / ranks as u64;
-    (
-        Scenario { name: name_tuples, elems_per_iter: tuples_per_node, ns_per_iter: elapsed_ns },
-        Scenario { name: name_bytes, elems_per_iter: wire_per_node, ns_per_iter: elapsed_ns },
-    )
+    let scenario = |family: &str, elems_per_iter| Scenario {
+        name: format!("net_saturate/{name}{family}/ranks={ranks}"),
+        elems_per_iter,
+        ns_per_iter: elapsed_ns,
+    };
+    (scenario("tuples", tuples_per_node), scenario("wire_bytes", wire_per_node))
 }
 
 fn json_escape_free(name: &str) -> &str {
@@ -318,24 +330,36 @@ fn main() {
         // rate wins, keeping its bytes pair) — a single pass is at the
         // mercy of whatever else a shared runner schedules onto the
         // cores for that half second.
+        // The two backends alternate pass by pass, so drift in what
+        // else the host runs hits both alike.
         let millis = if samples >= 25 { 1000 } else { 400 };
-        for (ranks, tn, bn) in [
-            (4, "net_saturate/tuples/ranks=4", "net_saturate/wire_bytes/ranks=4"),
-            (8, "net_saturate/tuples/ranks=8", "net_saturate/wire_bytes/ranks=8"),
-            (16, "net_saturate/tuples/ranks=16", "net_saturate/wire_bytes/ranks=16"),
-        ] {
-            eprintln!("perfjson: saturating evented loopback mesh at {ranks} ranks...");
-            let mut best: Option<(Scenario, Scenario)> = None;
+        for ranks in [4, 8, 16] {
+            eprintln!(
+                "perfjson: saturating evented and threaded loopback meshes at {ranks} ranks..."
+            );
+            let mut best: [Option<(Scenario, Scenario)>; 2] = [None, None];
             for _ in 0..3 {
-                let pass = net_saturate(tn, bn, ranks, millis);
-                if best.as_ref().is_none_or(|b| pass.0.elements_per_sec() > b.0.elements_per_sec())
-                {
-                    best = Some(pass);
+                let passes = [
+                    net_saturate(EventedNetwork::loopback(ranks, 1024).expect("mesh"), "", millis),
+                    net_saturate(
+                        TcpNetwork::loopback(ranks, 1024).expect("mesh"),
+                        "threaded/",
+                        millis,
+                    ),
+                ];
+                for (best, pass) in best.iter_mut().zip(passes) {
+                    if best
+                        .as_ref()
+                        .is_none_or(|b| pass.0.elements_per_sec() > b.0.elements_per_sec())
+                    {
+                        *best = Some(pass);
+                    }
                 }
             }
-            let (tuples, bytes) = best.expect("three passes ran");
-            scenarios.push(tuples);
-            scenarios.push(bytes);
+            for (tuples, bytes) in best.into_iter().map(|b| b.expect("three passes ran")) {
+                scenarios.push(tuples);
+                scenarios.push(bytes);
+            }
         }
     } else {
         eprintln!("perfjson: timing probe kernels ({samples} samples per scenario)...");
@@ -386,7 +410,7 @@ fn main() {
     for (i, s) in scenarios.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"elements_per_sec\": {:.1}, \"ns_per_iter\": {:.1}}}{}\n",
-            json_escape_free(s.name),
+            json_escape_free(&s.name),
             s.elements_per_sec(),
             s.ns_per_iter,
             if i + 1 == scenarios.len() { "" } else { "," }

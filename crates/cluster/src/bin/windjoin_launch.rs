@@ -13,9 +13,12 @@
 //!
 //!   --ranks N               cluster size: masters + slaves + collector
 //!   --masters M             master ranks (0..M; odd counts) [1]
-//!   --job PATH              serialised JobSpec every rank loads (same as
-//!                           passing `-- --job PATH`); when the file's
-//!                           `slaves` matches, --ranks may be omitted
+//!   --sql QUERY             the job every rank runs, as SQL (same as
+//!                           passing `-- --sql QUERY`); --ranks defaults
+//!                           to the query's `slaves` + masters + 1
+//!   --job PATH              the job as a serialised JobSpec (same as
+//!                           passing `-- --job PATH`); --ranks defaults
+//!                           to the file's `slaves` + masters + 1
 //!   --bin PATH              windjoin-node binary [next to this binary]
 //!   --out PATH              also write the collector stdout to PATH
 //!   --log-dir DIR           capture each rank's stderr to DIR/rank<r>.log
@@ -48,6 +51,7 @@ use std::process::{Command, Stdio};
 struct Args {
     ranks: usize,
     masters: usize,
+    sql: Option<String>,
     job: Option<String>,
     bin: Option<String>,
     out: Option<String>,
@@ -62,7 +66,8 @@ struct Args {
 
 fn usage_and_exit(msg: &str) -> ! {
     eprintln!("windjoin-launch: {msg}");
-    eprintln!("usage: windjoin-launch --ranks N [--masters M] [--bin PATH] [--out PATH]");
+    eprintln!("usage: windjoin-launch [--ranks N] [--masters M] [--sql QUERY | --job PATH]");
+    eprintln!("                       [--bin PATH] [--out PATH]");
     eprintln!("                       [--log-dir DIR] [--kill-rank R [--die-after-batches N]");
     eprintln!("                       [--die-after-epochs N]] [--retries K] [-- node flags...]");
     std::process::exit(2);
@@ -73,6 +78,7 @@ fn parse_args() -> Args {
     let mut args = Args {
         ranks: 0,
         masters: 1,
+        sql: None,
         job: None,
         bin: None,
         out: None,
@@ -100,6 +106,7 @@ fn parse_args() -> Args {
                 args.masters =
                     value(&mut i, &flag).parse().unwrap_or_else(|_| usage_and_exit("bad --masters"))
             }
+            "--sql" => args.sql = Some(value(&mut i, &flag)),
             "--job" => args.job = Some(value(&mut i, &flag)),
             "--bin" => args.bin = Some(value(&mut i, &flag)),
             "--out" => args.out = Some(value(&mut i, &flag)),
@@ -138,20 +145,21 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
-    if let Some(job) = &args.job {
-        // The job file is authoritative for the topology when --ranks
-        // is omitted; every rank receives `--job PATH` via passthrough.
+    if args.sql.is_some() || args.job.is_some() {
+        // The job is authoritative for the topology when --ranks is
+        // omitted.
+        let node =
+            windjoin_cluster::cli_node_config(args.sql.as_deref(), args.job.as_deref(), None)
+                .unwrap_or_else(|e| usage_and_exit(&e));
         if args.ranks == 0 {
-            match windjoin_cluster::JobSpec::from_json(
-                &std::fs::read_to_string(job)
-                    .unwrap_or_else(|e| usage_and_exit(&format!("reading --job {job}: {e}"))),
-            ) {
-                Ok(spec) => args.ranks = spec.slaves + args.masters + 1,
-                Err(e) => usage_and_exit(&format!("--job {job}: {e}")),
-            }
+            args.ranks = node.slaves + args.masters + 1;
         }
-        args.passthrough.insert(0, "--job".into());
-        args.passthrough.insert(1, job.clone());
+    }
+    // Every rank receives the job via passthrough.
+    for (flag, job) in [("--sql", &args.sql), ("--job", &args.job)] {
+        if let Some(job) = job {
+            args.passthrough.splice(0..0, [flag.to_string(), job.clone()]);
+        }
     }
     if args.masters == 0 {
         usage_and_exit("--masters must be >= 1");

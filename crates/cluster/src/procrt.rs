@@ -14,6 +14,7 @@
 //! on kernel-assigned ports) — see the README for launch recipes and
 //! the fault-tolerance model.
 
+use crate::api::JobSpec;
 use crate::nodes::{self, CollectorOutcome, MasterOutcome, NodeConfig, Role, SlaveOutcome};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -25,9 +26,14 @@ use windjoin_net::{EventedNetwork, TcpNetwork, TransportEndpoint};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// Thread-per-peer blocking I/O (`TcpNetwork`): `2(n-1)` threads
-    /// per rank. The default, and the faster backend measured so far:
-    /// a `net_saturate` comparison on a 2-core host saw it deliver more
-    /// tuples/s per node than `Evented` at 4, 8 and 16 ranks.
+    /// per rank. The default, because it measured faster and leaner:
+    /// on a 2-core host `perfjson --net` delivered 7.8–8.3M tuples/s
+    /// per node against `Evented`'s 6.5M at 4 ranks, 4.5–4.6M against
+    /// 2.8–2.9M at 8 and 2.1–2.5M against 1.4M at 16 (three runs, the
+    /// backends alternating). End to end, on the benchmark's two
+    /// workloads over a loopback mesh, production delay matched within
+    /// run-to-run noise and peak RSS was lower (89–90 MB against
+    /// 105–108 MB on the b-model workload).
     #[default]
     Threaded,
     /// Readiness-driven event loop (`EventedNetwork`): one poller
@@ -53,6 +59,36 @@ impl TransportKind {
             TransportKind::Evented => "evented",
         }
     }
+}
+
+/// Compiles the job a command line names into the configuration every
+/// rank runs: `--sql QUERY` or `--job FILE` (at most one of them;
+/// neither means the [`JobSpec::demo`] defaults). `mesh_slaves` — the
+/// slave count a `--peers` list implies — overrides the job's own
+/// `slaves`, with a warning on stderr when they differ. An error is one
+/// printable diagnostic; a bad query carries a caret under the
+/// offending byte.
+pub fn cli_node_config(
+    sql: Option<&str>,
+    job_file: Option<&str>,
+    mesh_slaves: Option<usize>,
+) -> Result<NodeConfig, String> {
+    let mut spec = match (sql, job_file) {
+        (Some(_), Some(_)) => return Err("--sql and --job are mutually exclusive".into()),
+        (Some(q), None) => crate::sql::spec_from_sql(q).map_err(|e| e.caret(q))?,
+        (None, Some(path)) => {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("reading --job {path}: {e}"))?;
+            JobSpec::from_json(&text).map_err(|e| format!("--job {path}: {e}"))?
+        }
+        (None, None) => JobSpec::demo(mesh_slaves.unwrap_or(2)),
+    };
+    if let Some(n) = mesh_slaves.filter(|&n| n != spec.slaves) {
+        eprintln!("warning: --peers implies {n} slave(s); overriding the job's {}", spec.slaves);
+        spec.slaves = n;
+        spec.total_slaves = n;
+    }
+    spec.to_node_config().map_err(|e| e.to_string())
 }
 
 /// One process's slice of a multi-process cluster run.

@@ -47,7 +47,7 @@
 //! | `run`           | duration                       | run horizon                      |
 //! | `warmup`        | duration                       | statistics warm-up               |
 //! | `npart`         | integer                        | hash partitions                  |
-//! | `probe_threads` | integer                        | slave probe pool width           |
+//! | `probe_threads` | integer \| `auto` (host cores) | slave probe pool width           |
 //! | `dist_epoch`    | duration                       | distribution epoch `t_d`         |
 //! | `reorg_epoch`   | duration                       | reorganization epoch `t_r`       |
 //! | `adaptive_dod`  | `true` \| `false`              | §V-A adaptive declustering       |
@@ -113,6 +113,23 @@ impl SqlError {
             SqlError::Syntax { at, .. } | SqlError::Semantic { at, .. } => *at,
             SqlError::Invalid(_) => 0,
         }
+    }
+
+    /// The error, then — for syntax and semantic errors — the query
+    /// line it occurred on with a caret under the offending byte: the
+    /// diagnostic a command line prints.
+    pub fn caret(&self, sql: &str) -> String {
+        if let SqlError::Invalid(_) = self {
+            return self.to_string();
+        }
+        let mut at = self.at().min(sql.len());
+        while !sql.is_char_boundary(at) {
+            at -= 1;
+        }
+        let start = sql[..at].rfind('\n').map_or(0, |i| i + 1);
+        let end = sql[at..].find('\n').map_or(sql.len(), |i| at + i);
+        let col = sql[start..at].chars().count();
+        format!("{self}\n  {}\n  {}^", &sql[start..end], " ".repeat(col))
     }
 }
 
@@ -796,7 +813,14 @@ fn apply_option(b: JoinJobBuilder, opt: &SqlOption) -> Result<JoinJobBuilder, Sq
             let n = u32::try_from(n).map_err(|_| semantic(format!("npart {n} exceeds u32")))?;
             b.npart(n)
         }
-        "probe_threads" => b.probe_threads(as_usize(v, opt)?),
+        "probe_threads" => b.probe_threads(match v {
+            // `auto` sizes the drain pool to the host's cores — the
+            // natural setting for one-rank-per-box deployments.
+            OptValue::Word(w) if w == "auto" => {
+                std::thread::available_parallelism().map_or(1, |p| p.get())
+            }
+            _ => as_usize(v, opt)?,
+        }),
         "dist_epoch" => b.dist_epoch(std::time::Duration::from_micros(as_duration_us(v, opt)?)),
         "reorg_epoch" => b.reorg_epoch(std::time::Duration::from_micros(as_duration_us(v, opt)?)),
         "adaptive_dod" => match v {
@@ -955,6 +979,29 @@ mod tests {
                 other => panic!("{sql}: expected a semantic error, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn probe_threads_auto_takes_the_host_core_count() {
+        let spec = spec_from_sql(&format!("{DEMO} WITH (probe_threads = auto)")).unwrap();
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(spec.params.probe_threads, cores);
+        assert!(job_from_sql(&format!("{DEMO} WITH (probe_threads = many)")).is_err());
+    }
+
+    #[test]
+    fn caret_marks_the_offending_byte_on_its_line() {
+        let sql = "SELECT * FROM a JOIN b ON a.key = b.key\nWITHIN 5s WITH (zzz = 1)";
+        let e = job_from_sql(sql).unwrap_err();
+        let text = e.caret(sql);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], e.to_string());
+        assert_eq!(lines[1], "  WITHIN 5s WITH (zzz = 1)");
+        assert_eq!(lines[2], format!("  {}^", " ".repeat("WITHIN 5s WITH (".len())));
+        // A whole-spec failure has no byte to point at.
+        let sql = "SELECT * FROM a JOIN b ON a.key = b.key WITHIN 5s WITH (run = 1s, warmup = 2s)";
+        let e = job_from_sql(sql).unwrap_err();
+        assert_eq!(e.caret(sql), e.to_string());
     }
 
     #[test]

@@ -14,10 +14,11 @@
 
 use std::collections::HashSet;
 use std::time::Duration;
+use windjoin_cluster::sql::spec_from_sql;
 use windjoin_cluster::{nodes, run_on_transport, run_threaded, ChaosKill, NodeConfig, RunReport};
 use windjoin_core::hash::partition_of;
 use windjoin_core::{reference_join, OutPair, Side, Tuple};
-use windjoin_gen::{merge_streams, KeyDist, RateSchedule, StreamSpec};
+use windjoin_gen::{merge_streams, RateSchedule, StreamSpec};
 use windjoin_net::{ChannelNetwork, Message, NetEvent, TcpNetwork};
 
 const KILLED_SLAVE: usize = 1;
@@ -27,17 +28,24 @@ fn probe_threads_from_env() -> usize {
     std::env::var("WINDJOIN_CHAOS_PROBE_THREADS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
 }
 
+/// The chaos workload as one job description: the in-process runs and
+/// the `windjoin-node` processes compile the same text, so the oracle
+/// config cannot drift from what the binary runs.
+fn chaos_query(slaves: usize, extra: &str) -> String {
+    format!(
+        "SELECT * FROM s1 JOIN s2 ON s1.key = s2.key WITHIN 2s WITH (slaves = {slaves}, \
+         rate = 400, keys = uniform(500), run = 3s, warmup = 500ms, seed = 4242, \
+         probe_threads = {}, sink = capture{extra})",
+        probe_threads_from_env()
+    )
+}
+
+fn node_cfg(query: &str) -> NodeConfig {
+    spec_from_sql(query).expect("valid query").to_node_config().expect("node config")
+}
+
 fn chaos_cfg() -> NodeConfig {
-    let mut cfg = NodeConfig::demo(3);
-    cfg.params.sem.w_left_us = 2_000_000;
-    cfg.params.sem.w_right_us = 2_000_000;
-    cfg.params.probe_threads = probe_threads_from_env();
-    cfg.rate = 400.0;
-    cfg.keys = KeyDist::Uniform { domain: 500 };
-    cfg.run = Duration::from_secs(3);
-    cfg.warmup = Duration::from_millis(500);
-    cfg.seed = 4242;
-    cfg.capture_outputs = true;
+    let mut cfg = node_cfg(&chaos_query(3, ""));
     cfg.chaos = vec![ChaosKill {
         slave: KILLED_SLAVE,
         after_batches: KILL_AFTER_BATCHES,
@@ -262,14 +270,6 @@ fn leave_directive_is_a_clean_goodbye_to_both_sinks() {
 
 // ---- 4-process TCP chaos ------------------------------------------------
 
-/// Equivalent in-process view of the flags passed to `windjoin-node`
-/// below (for the oracle and the dead-partition set).
-fn process_cfg() -> NodeConfig {
-    let mut cfg = chaos_cfg();
-    cfg.slaves = 2; // 4 ranks: master + 2 slaves + collector
-    cfg
-}
-
 fn artifact_dir() -> std::path::PathBuf {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/chaos-artifacts");
     std::fs::create_dir_all(&dir).expect("create artifact dir");
@@ -280,26 +280,19 @@ fn artifact_dir() -> std::path::PathBuf {
 /// ports by binding port 0 and retries reservation races itself): rank
 /// 2 (slave 1) crashes after [`KILL_AFTER_BATCHES`] batches. Returns
 /// the collector stdout and the master stderr log.
-fn launch_chaos_cluster(cfg: &NodeConfig) -> (String, String) {
+fn launch_chaos_cluster(query: &str, ranks: usize) -> (String, String) {
     use std::process::Command;
     let dir = artifact_dir();
     let out = Command::new(env!("CARGO_BIN_EXE_windjoin-launch"))
-        .args(["--ranks", &cfg.ranks().to_string()])
+        .args(["--ranks", &ranks.to_string()])
         .args(["--bin", env!("CARGO_BIN_EXE_windjoin-node")])
         .args(["--log-dir", dir.to_str().unwrap()])
         .args(["--out", dir.join("collector.out").to_str().unwrap()])
         .args(["--kill-rank", &(1 + KILLED_SLAVE).to_string()])
         .args(["--die-after-batches", &KILL_AFTER_BATCHES.to_string()])
         .arg("--")
-        .args(["--rate", &cfg.rate.to_string()])
-        .args(["--run-ms", &cfg.run.as_millis().to_string()])
-        .args(["--warmup-ms", &cfg.warmup.as_millis().to_string()])
-        .args(["--seed", &cfg.seed.to_string()])
-        .args(["--window-ms", "2000"])
-        .args(["--keys", "uniform:500"])
-        .args(["--probe-threads", &cfg.params.probe_threads.to_string()])
+        .args(["--sql", query])
         .args(["--handshake-ms", "10000"])
-        .arg("--emit-pairs")
         .output()
         .expect("run windjoin-launch");
     assert!(
@@ -316,10 +309,11 @@ fn launch_chaos_cluster(cfg: &NodeConfig) -> (String, String) {
 
 #[test]
 fn multiprocess_cluster_survives_slave_kill() {
-    let cfg = process_cfg();
+    let query = chaos_query(2, ""); // 4 ranks: master + 2 slaves + collector
+    let cfg = node_cfg(&query);
     let (stdout, master_log) = {
-        let cfg = cfg.clone();
-        with_watchdog(move || launch_chaos_cluster(&cfg))
+        let ranks = cfg.ranks();
+        with_watchdog(move || launch_chaos_cluster(&query, ranks))
     };
 
     let mut pairs: Vec<PairId> = Vec::new();
@@ -518,8 +512,10 @@ fn double_slave_fault_keeps_survivors_exact_and_accounts_loss() {
 #[test]
 fn multiprocess_cluster_survives_leader_kill() {
     use std::process::Command;
-    let mut cfg = robust_cfg();
-    cfg.slaves = 2; // 6 ranks: 3 masters + 2 slaves + collector
+    // 6 ranks: 3 masters + 2 slaves + collector.
+    let query = chaos_query(2, ", heartbeat = 100ms");
+    let mut cfg = node_cfg(&query);
+    cfg.masters = 3;
     let dir = artifact_dir().join("master-kill");
     std::fs::create_dir_all(&dir).expect("create artifact dir");
     let (stdout, logs) = {
@@ -535,15 +531,8 @@ fn multiprocess_cluster_survives_leader_kill() {
                 .args(["--kill-rank", "0"])
                 .args(["--die-after-epochs", "5"])
                 .arg("--")
-                .args(["--rate", &cfg.rate.to_string()])
-                .args(["--run-ms", &cfg.run.as_millis().to_string()])
-                .args(["--warmup-ms", &cfg.warmup.as_millis().to_string()])
-                .args(["--seed", &cfg.seed.to_string()])
-                .args(["--window-ms", "2000"])
-                .args(["--keys", "uniform:500"])
-                .args(["--heartbeat-ms", "100"])
+                .args(["--sql", &query])
                 .args(["--handshake-ms", "10000"])
-                .arg("--emit-pairs")
                 .output()
                 .expect("run windjoin-launch");
             assert!(

@@ -9,13 +9,15 @@
 //!   contract (batch boundaries follow the wall clock), so the captured
 //!   pairs, checksum and the batch-independent work counters
 //!   (`emitted`, `inserts`) must match the direct `NodeConfig` path.
-//! * A serialised job file must drive a real multi-process cluster
-//!   (`windjoin-launch --job`) to the same output set as the in-process
-//!   `Runtime::Tcp` driver.
+//! * A serialised job file and the SQL text it came from must each
+//!   drive a real multi-process cluster (`windjoin-launch --job` /
+//!   `--sql`) to the same output set as the in-process `Runtime::Tcp`
+//!   run.
 
 use proptest::prelude::*;
 use std::time::Duration;
 use windjoin_cluster::api::{JoinJob, Runtime, SinkSpec};
+use windjoin_cluster::sql::spec_from_sql;
 use windjoin_cluster::{run_sim, run_threaded, NodeConfig, RunConfig, RunReport};
 use windjoin_core::Params;
 use windjoin_gen::KeyDist;
@@ -128,35 +130,43 @@ fn tcp_driver_matches_the_threaded_output_set() {
     assert_eq!(sorted_ids(&direct), sorted_ids(&via_tcp));
 }
 
+/// The job the multi-process test launches: the binary and the
+/// in-process reference compile this one text.
+const QUERY: &str = "SELECT * FROM s1 JOIN s2 ON s1.key = s2.key WITHIN 5s WITH (runtime = tcp, \
+                     slaves = 2, rate = 400, keys = uniform(300), seed = 42, run = 1200ms, \
+                     warmup = 300ms, sink = capture)";
+
 #[test]
 fn job_file_drives_a_real_multiprocess_cluster() {
-    // Serialise a spec, launch one OS process per rank through
-    // `windjoin-launch --job`, and require the collector's machine-
-    // readable summary to match the in-process Tcp driver exactly.
-    let jb = job(42, 2, Runtime::Tcp);
-    let reference = jb.run().expect("in-process reference run");
+    // Serialise the query's spec, launch one OS process per rank through
+    // `windjoin-launch --job` and `--sql` (each infers the rank count
+    // from the job), and require the collector's machine-readable
+    // summary to match the in-process Tcp runtime exactly.
+    let spec = spec_from_sql(QUERY).expect("valid query");
+    let reference = JoinJob::from_spec(spec.clone()).expect("valid").run().expect("reference run");
 
     let path = std::env::temp_dir().join(format!("windjoin-job-{}.json", std::process::id()));
-    std::fs::write(&path, jb.spec.to_json()).expect("write job file");
-
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_windjoin-launch"))
-        .args(["--job", path.to_str().expect("utf8 path")])
-        .args(["--bin", env!("CARGO_BIN_EXE_windjoin-node")])
-        .output()
-        .expect("spawn windjoin-launch");
-    let _ = std::fs::remove_file(&path);
-    assert!(out.status.success(), "launch failed:\n{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let mut outputs_total = None;
-    let mut checksum = None;
-    for line in stdout.lines() {
-        if let Some(v) = line.strip_prefix("outputs_total ") {
-            outputs_total = v.trim().parse::<u64>().ok();
+    std::fs::write(&path, spec.to_json()).expect("write job file");
+    for job in [["--job", path.to_str().expect("utf8 path")], ["--sql", QUERY]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_windjoin-launch"))
+            .args(job)
+            .args(["--bin", env!("CARGO_BIN_EXE_windjoin-node")])
+            .output()
+            .expect("spawn windjoin-launch");
+        assert!(out.status.success(), "launch failed:\n{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let mut outputs_total = None;
+        let mut checksum = None;
+        for line in stdout.lines() {
+            if let Some(v) = line.strip_prefix("outputs_total ") {
+                outputs_total = v.trim().parse::<u64>().ok();
+            }
+            if let Some(v) = line.strip_prefix("checksum ") {
+                checksum = u64::from_str_radix(v.trim(), 16).ok();
+            }
         }
-        if let Some(v) = line.strip_prefix("checksum ") {
-            checksum = u64::from_str_radix(v.trim(), 16).ok();
-        }
+        assert_eq!(outputs_total, Some(reference.outputs_total), "collector output:\n{stdout}");
+        assert_eq!(checksum, Some(reference.output_checksum), "collector output:\n{stdout}");
     }
-    assert_eq!(outputs_total, Some(reference.outputs_total), "collector output:\n{stdout}");
-    assert_eq!(checksum, Some(reference.output_checksum), "collector output:\n{stdout}");
+    let _ = std::fs::remove_file(&path);
 }
